@@ -19,9 +19,10 @@
 //! adds the channel-model smoke entry `sparse_lsb_16384_nocd` (the same
 //! LSB batch on the no-collision-detection channel, horizon capped because
 //! full-sensing LSB livelocks there — the entry times the model dispatch
-//! path, not a drain); schema 7 adds the mid-tier `sparse_lsb_100k`
-//! (engine + phases entries, tracking the scaling curve between 16384 and
-//! 1M), grows the phase shares from 10 to 13 slugs (the staged
+//! path, not a drain); schema 7 adds a mid tier between 16384 and 1M
+//! (engine + phases entries, tracking the scaling curve; now
+//! `sparse_lsb_300k`, the first round size past the staging gate with 16 B
+//! `LowSensing` states), grows the phase shares from 10 to 13 slugs (the staged
 //! gather/scatter path's `permute`/`gather`/`scatter`), and breaks the
 //! staging buffers out as `stage_bytes` in the capacity section:
 //!
@@ -66,9 +67,10 @@ const REPS: u64 = 5;
 const CAP_STATIONS: u64 = 1_000_000;
 const CAP_HORIZON: u64 = 100_000;
 /// The mid tier between the 16384 drain and the 1M capacity tier: first
-/// point past the staged gather/scatter gate (6.4 MB state lane), same
-/// horizon cap as the 1M tier so cyc/access figures are comparable.
-const MID_STATIONS: u64 = 100_000;
+/// round size past the staged gather/scatter gate (4.8 MB of 16 B states
+/// against the 4 MiB gate), same horizon cap as the 1M tier so cyc/access
+/// figures are comparable.
+const MID_STATIONS: u64 = 300_000;
 /// Fewer reps at capacity scale — one warm-up plus two measured seeds.
 const CAP_REPS: u64 = 2;
 // Benches run with CWD = the package dir; anchor the report at the
@@ -169,11 +171,11 @@ fn main() {
                 .seeded(seed)
                 .run_sparse(|_| LowSensing::new(Params::default()))
         }),
-        // The mid tier: 10^5 stations, the first smoke point whose state
+        // The mid tier: 3·10^5 stations, the first smoke point whose state
         // lane overflows the cache and runs the staged gather/scatter
         // path. Tracks the scaling curve between the in-cache 16384 drain
         // and the 1M capacity tier.
-        measure_reps("sparse_lsb_100k", CAP_REPS, |seed| {
+        measure_reps("sparse_lsb_300k", CAP_REPS, |seed| {
             scenarios::batch_drain(MID_STATIONS)
                 .totals_only()
                 .until_slot(CAP_HORIZON)
@@ -274,7 +276,7 @@ fn main() {
             json.push_str(&format!(" }} }}{sep}\n"));
         };
     push_phases(&mut json, "sparse_lsb_16384", &phase_profile, ",");
-    push_phases(&mut json, "sparse_lsb_100k", &mid_profile, ",");
+    push_phases(&mut json, "sparse_lsb_300k", &mid_profile, ",");
     push_phases(&mut json, "sparse_lsb_1M", &cap_profile, "");
     json.push_str("  },\n  \"capacity\": {\n");
     json.push_str(&format!(
@@ -314,7 +316,7 @@ fn main() {
     );
     println!(
         "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; permute {:.1}%, gather {:.1}%, scatter {:.1}%)",
-        "phases_sparse_lsb_100k",
+        "phases_sparse_lsb_300k",
         mid_profile.accesses,
         mid_profile.cyc_per_access(),
         100.0 * mid_profile.profile.share(3),

@@ -199,7 +199,7 @@ pub fn publish_phases<T: lowsense_obs::Telemetry>(smoke: &SmokeProfile, out: &mu
 /// table's bookkeeping lanes (ids + remap) — everything the engine spends
 /// *per station* beyond the protocol state itself. The protocol-state lane
 /// is tracked separately: its size is the protocol's contract
-/// (`LowSensing` alone is 64 B), not the engine's.
+/// (`LowSensing` alone is 16 B), not the engine's.
 #[derive(Default)]
 pub struct CapacityProbe {
     /// Peak bytes across the wake wheel, the table's id/remap lanes, and

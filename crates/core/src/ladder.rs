@@ -20,15 +20,15 @@
 //! (`p_listen`, `p_send|listen`, `1/ln(1-p_listen)`), computed by the
 //! **same arithmetic** ([`derive()`], pinned bit-identical by
 //! `tests/ladder.rs`). A window update becomes a level increment/decrement
-//! plus a 3-gather from one 32-byte row — **zero** `ln` calls and **zero**
-//! divides. The only transcendental left in the steady state is the
+//! and every probability a read from one 32-byte row — **zero** `ln` calls
+//! and **zero** divides. The only transcendental left in the steady state is the
 //! irreducible `ln U` of the next-wake draw.
 //!
 //! Ladders are interned per `(c, w_min, anchor)` in a process-wide cache
 //! ([`shared`]) and handed out as `&'static` references, so every packet
 //! with the same parameters shares one table (typically a few hundred rungs
-//! ≈ tens of KiB) and the per-packet state stays `Copy` and within one
-//! cache line. Interned ladders are deliberately leaked; the cache is
+//! ≈ tens of KiB) and the per-packet state is `Copy` and 16 bytes: the
+//! ladder pointer and the level. Interned ladders are deliberately leaked; the cache is
 //! bounded by the number of distinct parameter sets a process touches.
 
 use std::collections::HashMap;
@@ -243,7 +243,7 @@ impl std::fmt::Debug for Ladder {
 ///
 /// Every packet constructed with the same parameters and starting window
 /// shares one `&'static` table — the "cache sharing across same-params
-/// packets" that keeps per-packet state `Copy` and one cache line. Entries
+/// packets" that keeps per-packet state `Copy` and 16 bytes. Entries
 /// are leaked intentionally; the cache is bounded by the distinct parameter
 /// sets a process touches (a sweep of 100 parameter points costs a few MiB
 /// once, not per packet).

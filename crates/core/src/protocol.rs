@@ -19,9 +19,10 @@
 //! The window is not stored as a float. Since it only moves by the
 //! multiplicative back-off/back-on steps above, the reachable windows form
 //! a discrete [`crate::ladder`] precomputed once per parameter set:
-//! the state is a **level index**, a window update is a level
-//! increment/decrement plus a 3-value gather from a 32-byte table row, and
-//! the steady state runs with **zero** `ln` calls and **zero** divides —
+//! the state is a **level index** on a shared, interned ladder, a window
+//! update is a level increment/decrement, every probability is read from
+//! the current rung's 32-byte table row, and the steady state runs with
+//! **zero** `ln` calls and **zero** divides —
 //! the only transcendental left is the `ln U` of the wake draw (one
 //! [`fast_ln`](lowsense_sim::dist::fast_ln) multiply via
 //! [`geometric_inv`]). See `crates/core/src/ladder.rs` and
@@ -33,7 +34,7 @@ use lowsense_sim::feedback::{Feedback, Intent, Observation};
 use lowsense_sim::protocol::{Protocol, SparseProtocol};
 use lowsense_sim::rng::SimRng;
 
-use crate::ladder::{self, Ladder};
+use crate::ladder::{self, Ladder, LadderRow};
 use crate::params::Params;
 
 /// Per-packet state of `LOW-SENSING BACKOFF`.
@@ -49,22 +50,16 @@ use crate::params::Params;
 /// // Fresh packets send with probability exactly 1/w_min.
 /// assert!((p.send_probability() - 0.25).abs() < 1e-12);
 /// ```
-// 40 bytes of live state (ladder pointer, level, three cached row values),
-// 64-byte aligned so the event-driven engines' scattered per-listener table
-// accesses touch exactly one cache line. The row values are cached inline
-// (rather than re-read through the ladder on every `intent`/draw) so the
-// non-observing hot calls are pure field reads; `observe` refreshes them
-// with a 3-gather from the new level's row.
+// 16 bytes: the ladder pointer and the rung index, which is the whole of
+// the paper's per-packet state `w`. 16-byte aligned so no state straddles a
+// cache line. Every probability is read from `ladder.row(level)`: a ladder
+// is a few hundred 32-byte rows shared by every packet on it, so the rows
+// stay in L1 while the per-packet state lane stays as small as it can be.
 #[derive(Clone, Copy)]
-#[repr(align(64))]
+#[repr(align(16))]
 pub struct LowSensing {
     ladder: &'static Ladder,
     level: u32,
-    // Cached copies of the current rung's row; bit-identical to
-    // `ladder.row(level)` at all times.
-    p_listen: f64,
-    p_send_given_listen: f64,
-    inv_ln_q_listen: f64,
 }
 
 impl LowSensing {
@@ -78,21 +73,22 @@ impl LowSensing {
     /// ladder's anchor rung, so `window()` reports it exactly.
     pub fn with_window(params: Params, w: f64) -> Self {
         let ladder = ladder::shared(params, w);
-        let level = ladder.anchor_level();
-        let row = ladder.row(level);
         LowSensing {
             ladder,
-            level,
-            p_listen: row.p_listen,
-            p_send_given_listen: row.p_send_given_listen,
-            inv_ln_q_listen: row.inv_ln_q_listen,
+            level: ladder.anchor_level(),
         }
+    }
+
+    /// The current rung's row.
+    #[inline]
+    fn row(&self) -> &'static LadderRow {
+        self.ladder.row(self.level)
     }
 
     /// Current window size `w_u(t)`.
     #[inline]
     pub fn window(&self) -> f64 {
-        self.ladder.row(self.level).w
+        self.row().w
     }
 
     /// The parameters this packet runs with.
@@ -117,32 +113,16 @@ impl LowSensing {
     /// Probability of accessing the channel (listening) this slot.
     #[inline]
     pub fn access_probability(&self) -> f64 {
-        self.p_listen
-    }
-
-    /// Moves to `level` and refreshes the cached row values.
-    #[inline]
-    fn set_level(&mut self, level: u32) {
-        let row = self.ladder.row(level);
-        self.level = level;
-        self.p_listen = row.p_listen;
-        self.p_send_given_listen = row.p_send_given_listen;
-        self.inv_ln_q_listen = row.inv_ln_q_listen;
+        self.row().p_listen
     }
 }
 
 // The ladder reference compares by identity: `ladder::shared` interns one
 // table per (params, anchor), so two packets on the same ladder pointer
-// have the same parameters, and equal levels then imply equal windows. The
-// cached floats are compared too, pinning the "inline cache matches the
-// row" invariant in tests that compare whole states.
+// have the same parameters, and equal levels then imply equal windows.
 impl PartialEq for LowSensing {
     fn eq(&self, other: &Self) -> bool {
-        std::ptr::eq(self.ladder, other.ladder)
-            && self.level == other.level
-            && self.p_listen == other.p_listen
-            && self.p_send_given_listen == other.p_send_given_listen
-            && self.inv_ln_q_listen == other.inv_ln_q_listen
+        std::ptr::eq(self.ladder, other.ladder) && self.level == other.level
     }
 }
 
@@ -150,13 +130,14 @@ impl std::fmt::Debug for LowSensing {
     // Manual: deriving would dump the whole interned ladder into every
     // assertion message.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let row = self.row();
         f.debug_struct("LowSensing")
             .field("params", self.params())
             .field("level", &self.level)
-            .field("w", &self.window())
-            .field("p_listen", &self.p_listen)
-            .field("p_send_given_listen", &self.p_send_given_listen)
-            .field("inv_ln_q_listen", &self.inv_ln_q_listen)
+            .field("w", &row.w)
+            .field("p_listen", &row.p_listen)
+            .field("p_send_given_listen", &row.p_send_given_listen)
+            .field("inv_ln_q_listen", &row.inv_ln_q_listen)
             .finish()
     }
 }
@@ -164,10 +145,11 @@ impl std::fmt::Debug for LowSensing {
 impl Protocol for LowSensing {
     #[inline]
     fn intent(&mut self, rng: &mut SimRng) -> Intent {
-        if !rng.bernoulli(self.p_listen) {
+        let row = self.row();
+        if !rng.bernoulli(row.p_listen) {
             return Intent::Sleep;
         }
-        if rng.bernoulli(self.p_send_given_listen) {
+        if rng.bernoulli(row.p_send_given_listen) {
             Intent::Send
         } else {
             Intent::Listen
@@ -186,24 +168,19 @@ impl Protocol for LowSensing {
         // arrive as `Empty` and the update walks the wrong way (contention
         // reads as silence); that degradation is measured, not corrected,
         // by the feedback-grid campaign.
-        let new_level = match obs.feedback {
+        self.level = match obs.feedback {
             Feedback::Empty => self.level.saturating_sub(1),
             Feedback::Noisy => (self.level + 1).min(self.ladder.top_level()),
             // Someone else's success: no update (Figure 1 has rules only for
             // silent and noisy slots). Our own success departs us anyway.
             Feedback::Success => return,
         };
-        if new_level == self.level {
-            // Clamped at the floor (or parked on the saturation rung): the
-            // window and every cached derived probability are unchanged.
-            return;
-        }
-        self.set_level(new_level);
     }
 
     #[inline]
     fn send_probability(&self) -> f64 {
-        self.p_listen * self.p_send_given_listen
+        let row = self.row();
+        row.p_listen * row.p_send_given_listen
     }
 
     #[inline]
@@ -211,22 +188,21 @@ impl Protocol for LowSensing {
         // Exact inversion sampling, `k = ⌊ln U / ln(1-p_listen)⌋`, with the
         // logarithm of `1-p` cached (pre-inverted) in the ladder row: one
         // inlined transcendental and one multiply per draw.
-        Some(geometric_inv(rng, self.p_listen, self.inv_ln_q_listen))
+        let row = self.row();
+        Some(geometric_inv(rng, row.p_listen, row.inv_ln_q_listen))
     }
 }
 
 impl SparseProtocol for LowSensing {
     #[inline]
     fn send_on_access(&mut self, rng: &mut SimRng) -> bool {
-        rng.bernoulli(self.p_send_given_listen)
+        rng.bernoulli(self.row().p_send_given_listen)
     }
 
-    // No `observe4` override: the scalar `observe` is a level step plus a
-    // 3-value gather — straight-line integer/load work with nothing left to
-    // batch — so the trait's default (four scalar calls, trivially
-    // bit-identical) is already optimal. PR 5's hand-maintained 4-wide copy
-    // of the window recompute is gone with the recompute itself; the single
-    // source of the derived-row arithmetic is `ladder::derive`.
+    // No `observe4` override: the scalar `observe` is a clamped level step
+    // with nothing to batch, so the trait's default (four scalar calls,
+    // trivially bit-identical) is already optimal. The single source of the
+    // derived-row arithmetic is `ladder::derive`.
 
     #[inline]
     fn next_wake4(states: &mut [&mut Self; 4], rng: &mut SimRng) -> [Option<u64>; 4] {
@@ -234,18 +210,14 @@ impl SparseProtocol for LowSensing {
         // drawing nothing, and the four `ln U` evaluations are 4-wide —
         // `geometric4_inv` is bit-identical per lane to the scalar
         // `next_wake`, which the batch contract requires.
-        let p_listen = [
-            states[0].p_listen,
-            states[1].p_listen,
-            states[2].p_listen,
-            states[3].p_listen,
+        let rows = [
+            states[0].row(),
+            states[1].row(),
+            states[2].row(),
+            states[3].row(),
         ];
-        let inv = [
-            states[0].inv_ln_q_listen,
-            states[1].inv_ln_q_listen,
-            states[2].inv_ln_q_listen,
-            states[3].inv_ln_q_listen,
-        ];
+        let p_listen = rows.map(|r| r.p_listen);
+        let inv = rows.map(|r| r.inv_ln_q_listen);
         geometric4_inv(rng, p_listen, inv).map(Some)
     }
 }
@@ -402,34 +374,19 @@ mod tests {
     }
 
     #[test]
-    fn cached_row_values_track_the_ladder() {
-        // The inline cache must equal the current rung bit-for-bit after
-        // any walk.
-        let mut p = fresh();
-        let mut seq = SimRng::new(11);
-        for _ in 0..2_000 {
-            let fb = match seq.range_u64(3) {
-                0 => Feedback::Empty,
-                1 => Feedback::Noisy,
-                _ => Feedback::Success,
-            };
-            p.observe(&obs(fb));
-            let row = p.ladder().row(p.level());
-            assert_eq!(p.p_listen.to_bits(), row.p_listen.to_bits());
-            assert_eq!(
-                p.p_send_given_listen.to_bits(),
-                row.p_send_given_listen.to_bits()
-            );
-            assert_eq!(p.inv_ln_q_listen.to_bits(), row.inv_ln_q_listen.to_bits());
-        }
+    fn state_is_one_16_byte_aligned_rung_reference() {
+        // Ladder pointer plus level: four states per cache line, none
+        // straddling one.
+        assert_eq!(std::mem::size_of::<LowSensing>(), 16);
+        assert_eq!(std::mem::align_of::<LowSensing>(), 16);
     }
 
     #[test]
     fn batched_lanes_match_scalar_bitwise() {
         // Long mixed feedback walks: after every batched observe4 +
         // next_wake4 round, all four lane states and delays must equal the
-        // scalar path's exactly (PartialEq on LowSensing compares the level
-        // and every cached float). Clamped parameters (p_listen = 1 at
+        // scalar path's exactly (PartialEq on LowSensing compares the ladder
+        // and the level). Clamped parameters (p_listen = 1 at
         // small w) exercise the degenerate no-draw lanes.
         for params in [
             Params::default(),

@@ -2,8 +2,8 @@
 //!
 //! Every theorem of the paper is reproduced as a table (sweep) or figure
 //! (trajectory); ids (`T1`–`T9`, `F2`–`F6`, `A1`–`A5`, `X1`–`X2`) match the
-//! per-experiment index in `DESIGN.md` and the paper-vs-measured record in
-//! `EXPERIMENTS.md`. Run them all with
+//! per-experiment index, with its paper anchors and expected outcomes, in
+//! `docs/PAPER_MAP.md`. Run them all with
 //!
 //! ```text
 //! cargo run --release -p lowsense-experiments --bin repro -- all

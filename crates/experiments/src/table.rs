@@ -59,7 +59,8 @@ impl From<String> for Cell {
     }
 }
 
-/// A result table with an id matching the experiment index in `DESIGN.md`.
+/// A result table with an id matching the experiment index in
+/// `docs/PAPER_MAP.md`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Experiment id (`T1`, `F3`, `A2`, …).

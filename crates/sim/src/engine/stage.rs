@@ -399,11 +399,13 @@ mod tests {
             STAGE_MIN_PARTICIPANTS,
             STAGE_MIN_LANE_BYTES - 1
         ));
-        // The 16384 bench tier (64 B states, 1 MiB lane) never stages.
-        assert!(!staging_applies(2000, 16_384 * 64));
-        // The 100k and 1M tiers do.
-        assert!(staging_applies(2000, 100_000 * 64));
-        assert!(staging_applies(2000, 1_000_000 * 64));
+        // With 16 B `LowSensing` states: the 16384 bench tier (256 KiB
+        // lane) and 100k stations (1.6 MB) never stage.
+        assert!(!staging_applies(2000, 16_384 * 16));
+        assert!(!staging_applies(2000, 100_000 * 16));
+        // The 300k and 1M tiers do.
+        assert!(staging_applies(2000, 300_000 * 16));
+        assert!(staging_applies(2000, 1_000_000 * 16));
     }
 
     #[test]

@@ -29,6 +29,7 @@ use lowsense_baselines::{
     CjpConfig, CjpMwu, Coupling, LowSensingVariant, PolynomialBackoff, ProbBeb, SlottedAloha,
     UpdateRule, VariantConfig, WindowedBeb,
 };
+use lowsense_sim::engine::{staging_applies, STAGE_MIN_PARTICIPANTS};
 use lowsense_sim::prelude::*;
 use proptest::prelude::*;
 
@@ -435,23 +436,74 @@ fn totals_only_bit_identical() {
     );
 }
 
+/// Counts the event slots the staging gate admits, from out-of-band
+/// samples taken after every event slot: the slot's participants are the
+/// growth in sends + listens, and the backlog after the slot bounds the
+/// dense state lane the gate saw from below, so a slot counted here was
+/// certainly staged.
+#[derive(Default)]
+struct StageCount {
+    accesses: u64,
+    busy_slots: u64,
+    staged_slots: u64,
+}
+
+impl<P> Hooks<P> for StageCount {
+    fn wants_observe(&self) -> bool {
+        false
+    }
+
+    fn sample_period(&self) -> Option<u64> {
+        Some(1)
+    }
+
+    fn on_sample(&mut self, sample: &EngineSample) {
+        let accesses = sample.sends + sample.listens;
+        let participants = (accesses - self.accesses) as usize;
+        self.accesses = accesses;
+        if participants >= STAGE_MIN_PARTICIPANTS {
+            self.busy_slots += 1;
+            let lane = sample.backlog as usize * std::mem::size_of::<P>();
+            if staging_applies(participants, lane) {
+                self.staged_slots += 1;
+            }
+        }
+    }
+}
+
 /// The staged gather/scatter path against both oracles, under all three
-/// feedback models. 100k stations put the state lane (6.4 MB of 64 B
-/// `LowSensing` states) past the staging gate, and the small starting
-/// window keeps early slots at thousand-packet participant sets — so the
-/// wheel and flat-ring engines run the address-sorted staged path while
-/// the heap reference runs its unstaged per-element loop. Bit-identity
+/// feedback models. 300k stations put the state lane (4.8 MB of 16 B
+/// `LowSensing` states) past the 4 MiB staging gate, and the small
+/// starting window keeps early slots at thousand-packet participant sets —
+/// so the wheel and flat-ring engines run the address-sorted staged path
+/// while the heap reference runs its unstaged per-element loop. Bit-identity
 /// here is the inverse-permutation argument made executable: staging may
 /// only reorder memory traffic, never a draw, an observation, or an
 /// accumulation. Horizon-capped: coverage needs the high-fanout prefix,
-/// not a full drain.
+/// not a full drain. The wheel leg runs with a sampling probe that asserts
+/// every high-fanout slot clears the gate, so a change to the state size
+/// or the gate cannot quietly turn this into a direct-path test.
 #[test]
-fn staged_high_fanout_100k_three_way_bit_identical() {
+fn staged_high_fanout_300k_three_way_bit_identical() {
+    const N: u64 = 300_000;
     let factory = |_: &mut SimRng| LowSensing::with_window(Params::default(), 64.0);
     // Ternary with full per-packet metrics: the strongest pin (every
     // packet's access counts and latencies must survive the permutation).
-    let s = scenarios::high_fanout_batch(100_000, 128).seeded(6);
-    assert_three_way(&s, factory, "high-fanout-batch under ternary");
+    let s = scenarios::high_fanout_batch(N, 128).seeded(6);
+    let mut count = StageCount::default();
+    let wheel = s.run_sparse_hooked(factory, &mut count);
+    assert!(count.busy_slots > 0, "no high-fanout slot ran");
+    assert_eq!(
+        count.staged_slots, count.busy_slots,
+        "every high-fanout slot must stage"
+    );
+    // The probed run is the wheel leg: hooks only read, and the
+    // observability suite pins that sampling never perturbs a result.
+    let what = "high-fanout-batch under ternary";
+    let flat = s.run_sparse_flat(factory);
+    assert_identical(&wheel, &flat, &format!("{what}: wheel vs flat ring"));
+    let heap = s.run_sparse_reference(factory);
+    assert_identical(&wheel, &heap, &format!("{what}: wheel vs heap reference"));
     // The alternative models with totals-only metrics and a shorter
     // horizon: the staged slots still dominate the run, and totals (which
     // fold every contention float in accumulation order) keep the
@@ -460,7 +512,7 @@ fn staged_high_fanout_100k_three_way_bit_identical() {
         ChannelModel::NoCollisionDetection,
         ChannelModel::CostlyCollisions { alpha: 0.5 },
     ] {
-        let s = scenarios::high_fanout_batch(100_000, 96)
+        let s = scenarios::high_fanout_batch(N, 96)
             .totals_only()
             .seeded(6)
             .model(model);
