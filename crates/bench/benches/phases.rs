@@ -5,16 +5,17 @@
 //! cargo bench -p lowsense-bench --bench phases -- --json  # machine readable
 //! ```
 //!
-//! Runs the `sparse_lsb_16384` smoke workload through the instrumented
-//! replica in `lowsense_bench::profile` (validated against the real engine
-//! every rep) and prints the share of cycles each phase consumes. This is
+//! Runs the `sparse_lsb_16384` smoke workload on the production sparse
+//! engine with the phase probe of `lowsense_bench::profile` attached, and
+//! prints the share of cycles each phase consumes. This is
 //! the measurement tool behind the locality work on the sparse engine (see
 //! ROADMAP): when a perf target is missed, the recorded breakdown comes
 //! from here. The `smoke` bench embeds the same numbers in
 //! `BENCH_engine.json`; `--json` prints the breakdown alone, in the same
 //! shape as that file's `phases` entry.
 
-use lowsense_bench::profile::{profile_sparse_smoke, PHASES};
+use lowsense_bench::profile::profile_sparse_smoke;
+use lowsense_sim::hooks::EnginePhase;
 
 const PACKETS: u64 = 16_384;
 const REPS: u64 = 5;
@@ -33,9 +34,17 @@ fn main() {
         println!("  \"total_cycles\": {total},");
         println!("  \"cyc_per_access\": {:.2},", smoke.cyc_per_access());
         println!("  \"shares\": {{");
-        for (i, phase) in PHASES.iter().enumerate() {
-            let sep = if i + 1 == PHASES.len() { "" } else { "," };
-            println!("    \"{}\": {:.4}{sep}", phase.slug, smoke.profile.share(i));
+        for (i, phase) in EnginePhase::ALL.iter().enumerate() {
+            let sep = if i + 1 == EnginePhase::ALL.len() {
+                ""
+            } else {
+                ","
+            };
+            println!(
+                "    \"{}\": {:.4}{sep}",
+                phase.slug(),
+                smoke.profile.share(i)
+            );
         }
         println!("  }}");
         println!("}}");
@@ -51,12 +60,12 @@ fn main() {
         total,
         smoke.cyc_per_access()
     );
-    for (i, phase) in PHASES.iter().enumerate() {
+    for (i, phase) in EnginePhase::ALL.iter().enumerate() {
         println!(
             "phases: {:>5.1}%  {:>7.1} cyc/access  {}",
             100.0 * smoke.profile.share(i),
             smoke.profile.cycles[i] as f64 / smoke.accesses.max(1) as f64,
-            phase.label,
+            phase.label(),
         );
     }
 }

@@ -9,13 +9,14 @@
 //! accesses-per-second figures, so successive PRs have a perf trajectory
 //! to compare against. Schema 3 added a `campaign` section timing the tiny
 //! face-off sweep (cells per second on the shard pool); schema 4 added a
-//! `phases` section with the instrumented-loop cycle profile (see the
-//! `phases` bench — same profiler, embedded here so CI can gate on
+//! `phases` section with the production loop's cycle profile (see the
+//! `phases` bench — same probe, embedded here so CI can gate on
 //! `cyc_per_access` and the per-phase shares); schema 5 adds the
 //! million-station capacity tier `sparse_lsb_1M` (n = 10^6 batch-injected,
 //! short horizon) and a `capacity` section with its measured
 //! bytes-per-station budget — engine overhead only (wake wheel + table
-//! bookkeeping lanes), with protocol state reported separately; schema 6
+//! bookkeeping lanes), with protocol state reported separately (as peak
+//! live stations × `size_of::<LowSensing>()`); schema 6
 //! adds the channel-model smoke entry `sparse_lsb_16384_nocd` (the same
 //! LSB batch on the no-collision-detection channel, horizon capped because
 //! full-sensing LSB livelocks there — the entry times the model dispatch
@@ -49,14 +50,19 @@
 //! jammed entry) inflates its slot count with nearly-free skipped slots,
 //! while a channel access costs the same work in every run. Accesses are
 //! the engines' real unit of work (see docs/ARCHITECTURE.md).
+//!
+//! Each profiled tier also prints, on stdout only, the share of its
+//! `rdtsc`-bracketed wall-clock span that the phase cycles account for —
+//! the check that the per-layer profile adds up to the end-to-end time.
 
 use std::io::Write as _;
 use std::time::Instant;
 
 use lowsense::{LowSensing, Params};
 use lowsense_baselines::{CjpConfig, CjpMwu};
-use lowsense_bench::profile::{profile_sparse_capacity, profile_sparse_smoke, PHASES};
+use lowsense_bench::profile::{profile_sparse_capacity, profile_sparse_smoke, SmokeProfile};
 use lowsense_experiments::campaigns;
+use lowsense_sim::hooks::EnginePhase;
 use lowsense_sim::metrics::RunResult;
 use lowsense_sim::scenario::scenarios;
 
@@ -216,19 +222,17 @@ fn main() {
     let campaign_runs = campaign_spec.unit_count() as u64 * campaign_reps as u64;
     let cells_per_sec = campaign_cells as f64 / campaign_seconds.max(1e-12);
 
-    // The cycle profile of the sparse hot loop, via the same instrumented
-    // replica the `phases` bench prints (validated against run_sparse on
-    // every rep).
+    // The cycle profile of the sparse hot loop: `run_sparse` itself with
+    // the phase probe attached, as the `phases` bench prints it.
     let phase_profile = profile_sparse_smoke(16_384, 5);
 
     // The mid tier's phase profile: the first point where the staged
-    // permute/gather/scatter slugs accrue cycles (one seed, validated
-    // against run_sparse like every profiled entry; probe unused here).
+    // permute/gather/scatter slugs accrue cycles (one seed; memory peaks
+    // unused here).
     let (mid_profile, _) = profile_sparse_capacity(MID_STATIONS, CAP_HORIZON, 1);
 
     // The capacity tier's phase profile and memory budget, from the same
-    // instrumented replica with the periodic memory probe attached (one
-    // seed, validated against run_sparse on the capped scenario).
+    // probe's periodic engine samples (one seed, capped horizon).
     let (cap_profile, cap_probe) = profile_sparse_capacity(CAP_STATIONS, CAP_HORIZON, 1);
     assert!(
         cap_probe.peak_live >= CAP_STATIONS / 2,
@@ -258,23 +262,26 @@ fn main() {
         campaign_cells, campaign_runs, campaign_seconds, cells_per_sec
     ));
     json.push_str("  },\n  \"phases\": {\n");
-    let push_phases =
-        |json: &mut String, name: &str, p: &lowsense_bench::profile::SmokeProfile, sep: &str| {
+    let push_phases = |json: &mut String, name: &str, p: &SmokeProfile, sep: &str| {
+        json.push_str(&format!(
+            "    \"{name}\": {{ \"accesses\": {}, \"cyc_per_access\": {:.2}, \"shares\": {{ ",
+            p.accesses,
+            p.cyc_per_access()
+        ));
+        for (i, phase) in EnginePhase::ALL.iter().enumerate() {
+            let sep = if i + 1 == EnginePhase::ALL.len() {
+                ""
+            } else {
+                ", "
+            };
             json.push_str(&format!(
-                "    \"{name}\": {{ \"accesses\": {}, \"cyc_per_access\": {:.2}, \"shares\": {{ ",
-                p.accesses,
-                p.cyc_per_access()
+                "\"{}\": {:.4}{sep}",
+                phase.slug(),
+                p.profile.share(i)
             ));
-            for (i, phase) in PHASES.iter().enumerate() {
-                let sep = if i + 1 == PHASES.len() { "" } else { ", " };
-                json.push_str(&format!(
-                    "\"{}\": {:.4}{sep}",
-                    phase.slug,
-                    p.profile.share(i)
-                ));
-            }
-            json.push_str(&format!(" }} }}{sep}\n"));
-        };
+        }
+        json.push_str(&format!(" }} }}{sep}\n"));
+    };
     push_phases(&mut json, "sparse_lsb_16384", &phase_profile, ",");
     push_phases(&mut json, "sparse_lsb_300k", &mid_profile, ",");
     push_phases(&mut json, "sparse_lsb_1M", &cap_profile, "");
@@ -285,7 +292,7 @@ fn main() {
         cap_probe.peak_live,
         CAP_HORIZON,
         cap_probe.peak_engine_bytes,
-        cap_probe.peak_state_bytes,
+        cap_probe.state_bytes(),
         cap_probe.peak_stage_bytes,
         cap_probe.bytes_per_station(),
         cap_probe.samples
@@ -306,22 +313,23 @@ fn main() {
         "smoke: {:<28} {:>12} cells in {:>8.3}s  ({:>12.1} cells/sec, {} runs)",
         "campaign_faceoff_small", campaign_cells, campaign_seconds, cells_per_sec, campaign_runs
     );
+    let share = |p: &SmokeProfile, phase: EnginePhase| 100.0 * p.profile.share(phase as usize);
     println!(
         "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; observe {:.1}%, wake {:.1}%)",
         "phases_sparse_lsb_16384",
         phase_profile.accesses,
         phase_profile.cyc_per_access(),
-        100.0 * phase_profile.profile.share(7),
-        100.0 * phase_profile.profile.share(8),
+        share(&phase_profile, EnginePhase::Observe),
+        share(&phase_profile, EnginePhase::Wake),
     );
     println!(
         "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; permute {:.1}%, gather {:.1}%, scatter {:.1}%)",
         "phases_sparse_lsb_300k",
         mid_profile.accesses,
         mid_profile.cyc_per_access(),
-        100.0 * mid_profile.profile.share(3),
-        100.0 * mid_profile.profile.share(4),
-        100.0 * mid_profile.profile.share(11),
+        share(&mid_profile, EnginePhase::Permute),
+        share(&mid_profile, EnginePhase::Gather),
+        share(&mid_profile, EnginePhase::Scatter),
     );
     println!(
         "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; {:.1} engine B/station, {:.1} state B/station)",
@@ -329,8 +337,21 @@ fn main() {
         cap_profile.accesses,
         cap_profile.cyc_per_access(),
         cap_probe.bytes_per_station(),
-        cap_probe.peak_state_bytes as f64 / cap_probe.peak_live.max(1) as f64,
+        cap_probe.state_bytes() as f64 / cap_probe.peak_live.max(1) as f64,
     );
+    for (name, p) in [
+        ("sparse_lsb_16384", &phase_profile),
+        ("sparse_lsb_300k", &mid_profile),
+        ("sparse_lsb_1M", &cap_profile),
+    ] {
+        println!(
+            "smoke: coverage {:<19} phases account for {:.2}% of the bracketed span ({} of {} cycles)",
+            name,
+            100.0 * p.coverage(),
+            p.profile.total(),
+            p.span,
+        );
+    }
     let mut f = std::fs::File::create(OUT_FILE).expect("create BENCH_engine.json");
     f.write_all(json.as_bytes())
         .expect("write BENCH_engine.json");

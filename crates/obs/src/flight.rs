@@ -216,6 +216,7 @@ mod tests {
             contention: 2.0,
             footprint_bytes: 1024,
             state_bytes: 512,
+            stage_bytes: 0,
         }
     }
 

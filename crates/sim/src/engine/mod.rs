@@ -2,7 +2,7 @@
 //!
 //! Three engines share one semantics (the model of paper §1.1) and one
 //! substrate: every engine is a *stepping strategy* over the shared
-//! [`EngineCore`], which owns the RNG, arrival cursor, jamming decision
+//! [`EngineCore`](self::core::EngineCore), which owns the RNG, arrival cursor, jamming decision
 //! order, slot resolution, metrics, and limits. The strategies differ only
 //! in their per-packet bookkeeping and slot visit order:
 //!
@@ -52,12 +52,9 @@ pub mod table;
 pub mod wake;
 pub mod wake_flat;
 
-pub use self::core::EngineCore;
 pub use dense::{run_dense, run_dense_model};
 pub use grouped::{run_grouped, run_grouped_model, SymmetricProtocol};
 pub use sparse::{run_sparse, run_sparse_flat, run_sparse_flat_model, run_sparse_model};
 pub use sparse_reference::{run_sparse_reference, run_sparse_reference_model};
-pub use stage::{staging_applies, StagePlan, STAGE_MIN_LANE_BYTES, STAGE_MIN_PARTICIPANTS};
-pub use table::{Dense, PacketTable};
-pub use wake::WakeQueue;
+pub use stage::{staging_applies, STAGE_MIN_LANE_BYTES, STAGE_MIN_PARTICIPANTS};
 pub use wake_flat::FlatWakeQueue;

@@ -66,7 +66,7 @@ use crate::engine::table::PacketTable;
 use crate::engine::wake::{cap_scratch, WakeQueue, WakeSet, SCRATCH_CAP};
 use crate::engine::wake_flat::FlatWakeQueue;
 use crate::feedback::{FeedbackModel, Observation, SlotOutcome, Ternary};
-use crate::hooks::{EngineSample, Hooks};
+use crate::hooks::{EnginePhase, EngineSample, Hooks};
 use crate::jamming::Jammer;
 use crate::metrics::{RunResult, Totals};
 use crate::packet::PacketId;
@@ -229,7 +229,8 @@ where
 /// Cohort collection is trivial: `listeners` is already in the slot's
 /// insertion order (the reference oracle's processing order), so the
 /// cohorts are consecutive quadruples, with the tail (< 4 packets) going
-/// through the scalar methods the defaults fall back to anyway.
+/// through the scalar methods the defaults fall back to anyway. Each of
+/// the four passes ends with a [`Hooks::on_phase`] report.
 #[allow(clippy::too_many_arguments)]
 fn slot_passes<P, A, J, M, H, Q, S>(
     arena: &mut S,
@@ -314,6 +315,7 @@ fn slot_passes<P, A, J, M, H, Q, S>(
             *contention += p.send_probability() - before_sp;
         }
     }
+    hooks.on_phase(EnginePhase::Observe);
 
     // Wake-draw pass: the slot's only RNG draws, in the slot's insertion
     // order — exactly the reference loop's stream. The resolved wake
@@ -330,6 +332,7 @@ fn slot_passes<P, A, J, M, H, Q, S>(
         let delay = arena.at_mut(pos).next_wake(&mut core.rng);
         wakes.push(wake_slot(te + 1, delay));
     }
+    hooks.on_phase(EnginePhase::Wake);
 
     // Schedule pass: pure queue traffic, no state-arena or RNG touches,
     // same `queue.schedule` call sequence as the reference loop (listener
@@ -345,6 +348,7 @@ fn slot_passes<P, A, J, M, H, Q, S>(
             queue.schedule(slot, id.0);
         }
     }
+    hooks.on_phase(EnginePhase::Sched);
 
     let winner = match *outcome {
         SlotOutcome::Success { id } => Some(id),
@@ -373,12 +377,20 @@ fn slot_passes<P, A, J, M, H, Q, S>(
             }
         }
     }
+    hooks.on_phase(EnginePhase::Senders);
 }
 
 /// The sparse loop body, generic over the wake set. Every ordering-visible
 /// statement is shared by both instantiations, so agreement between
 /// [`run_sparse`] and [`run_sparse_flat`] pins exactly the queues' drain
 /// orders against each other.
+///
+/// The loop reports the end of every pass through [`Hooks::on_phase`], in
+/// [`EnginePhase`] order: an event slot emits `Control, Inject, Take`, then
+/// either `Resolve` (nobody accessed) or `[Permute, Gather,] Split,
+/// Resolve, Observe, Wake, Sched, Senders, [Scatter,] Depart`, the
+/// bracketed phases on staged slots only. Phase reports read nothing and
+/// write nothing the run depends on; with inert hooks they compile away.
 fn run_sparse_with<P, F, A, J, M, H, Q>(
     cfg: &SimConfig,
     arrivals: A,
@@ -438,6 +450,7 @@ where
     let mut event_slots: u64 = 0;
 
     // Builds one snapshot from already-final accounting state.
+    #[allow(clippy::too_many_arguments)]
     fn engine_sample(
         totals: &Totals,
         te: Slot,
@@ -446,6 +459,7 @@ where
         contention: f64,
         footprint_bytes: u64,
         state_bytes: u64,
+        stage_bytes: u64,
     ) -> EngineSample {
         EngineSample {
             slot: te,
@@ -463,6 +477,7 @@ where
             contention,
             footprint_bytes,
             state_bytes,
+            stage_bytes,
         }
     }
 
@@ -520,6 +535,7 @@ where
 
         // Slide the calendar window up to the slot being processed.
         queue.advance_to(te);
+        hooks.on_phase(EnginePhase::Control);
 
         // Inject all arrivals scheduled for slot te.
         while let Some((ta, count)) = core.peek_arrival(te, active_count, contention) {
@@ -541,12 +557,14 @@ where
                 }
             }
         }
+        hooks.on_phase(EnginePhase::Inject);
 
         // Collect every packet accessing the channel in slot te, in
         // insertion order (the (slot, seq)-keyed reference heap's pop
         // order).
         participants.clear();
         queue.take(te, &mut participants);
+        hooks.on_phase(EnginePhase::Take);
 
         if participants.is_empty() {
             // Arrival-only slot: nobody accesses; resolve as empty/jammed
@@ -568,11 +586,13 @@ where
                         contention,
                         queue.footprint_bytes() as u64,
                         packets.lane_bytes() as u64,
+                        (stage.footprint_bytes() + scratch.capacity() * size_of::<P>()) as u64,
                     ));
                 }
             }
             now = te + 1;
             core.step_done();
+            hooks.on_phase(EnginePhase::Resolve);
             continue;
         }
 
@@ -603,7 +623,9 @@ where
             // order); `gather` resolves and copies in two prefetched
             // ascending sweeps.
             stage.build_order(&participants);
+            hooks.on_phase(EnginePhase::Permute);
             stage.gather(&packets, &mut scratch);
+            hooks.on_phase(EnginePhase::Gather);
             let pos_of = stage.pos_of();
             for (k, &id) in participants.iter().enumerate() {
                 let pos = pos_of[k];
@@ -627,10 +649,12 @@ where
                 }
             }
         }
+        hooks.on_phase(EnginePhase::Split);
 
         let jam = core.jam_decision(te, active_count, contention, &senders);
         let outcome = core.resolve(te, jam, &senders);
         hooks.on_slot(te, &outcome);
+        hooks.on_phase(EnginePhase::Resolve);
 
         // The observe/wake/sender passes, against whichever arena holds
         // this slot's states (see `slot_passes`). On the staged path the
@@ -653,6 +677,7 @@ where
                 &mut wakes,
             );
             packets.scatter_from(stage.handles(), &scratch);
+            hooks.on_phase(EnginePhase::Scatter);
         } else {
             slot_passes(
                 &mut packets,
@@ -712,11 +737,13 @@ where
                     contention,
                     queue.footprint_bytes() as u64,
                     packets.lane_bytes() as u64,
+                    (stage.footprint_bytes() + scratch.capacity() * size_of::<P>()) as u64,
                 ));
             }
         }
         now = te + 1;
         core.step_done();
+        hooks.on_phase(EnginePhase::Depart);
     }
 
     core.finish()
@@ -920,6 +947,59 @@ mod tests {
             &mut hooks,
         );
         assert_eq!(hooks.gap_slots + hooks.event_slots, r.totals.active_slots);
+    }
+
+    #[test]
+    fn phase_reports_follow_the_loop_grammar() {
+        // Every event slot reports `Control, Inject, Take`, then either
+        // `Resolve` alone (nobody accessed) or the full direct-path pass
+        // sequence. A jammed 64-packet stream has both kinds (its arrival
+        // slots mostly see no access) and stays far below the staging
+        // gate, so `Permute`/`Gather`/`Scatter` must never appear.
+        #[derive(Default)]
+        struct PhaseLog {
+            phases: Vec<EnginePhase>,
+            slots: u64,
+        }
+        impl Hooks<Fixed> for PhaseLog {
+            fn on_slot(&mut self, _t: Slot, _o: &SlotOutcome) {
+                self.slots += 1;
+            }
+            fn on_phase(&mut self, phase: EnginePhase) {
+                self.phases.push(phase);
+            }
+        }
+        use EnginePhase::*;
+        let mut log = PhaseLog::default();
+        let r = run_sparse(
+            &SimConfig::new(11),
+            Bernoulli::new(0.05).with_total(64),
+            RandomJam::new(0.2),
+            |_| Fixed(0.02),
+            &mut log,
+        );
+        assert_eq!(r.totals.successes, 64);
+        let (mut empty, mut busy) = (0u64, 0u64);
+        let mut rest = &log.phases[..];
+        while !rest.is_empty() {
+            assert!(rest.starts_with(&[Control, Inject, Take]), "{rest:?}");
+            rest = &rest[3..];
+            if rest.first() == Some(&Resolve) {
+                empty += 1;
+                rest = &rest[1..];
+            } else {
+                let busy_slot = [Split, Resolve, Observe, Wake, Sched, Senders, Depart];
+                assert!(rest.starts_with(&busy_slot), "{rest:?}");
+                busy += 1;
+                rest = &rest[busy_slot.len()..];
+            }
+        }
+        assert!(empty > 0 && busy > 0, "empty {empty}, busy {busy}");
+        assert_eq!(
+            empty + busy,
+            log.slots,
+            "one report sequence per event slot"
+        );
     }
 
     #[test]

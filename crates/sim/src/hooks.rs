@@ -4,7 +4,13 @@
 //! at every state transition. This is how the `lowsense` crate's potential
 //! function `Φ(t)` (paper §4.2) is tracked incrementally without the
 //! simulator knowing anything about windows, and how tests assert engine
-//! invariants. [`NoHooks`] compiles to nothing.
+//! invariants. [`NoHooks`] compiles to nothing: every callback it leaves
+//! defaulted is an empty body, inlined away after monomorphization.
+//!
+//! The sparse engine additionally reports the end of each pass of its slot
+//! loop through [`Hooks::on_phase`] (the dense, grouped, and reference
+//! engines never call it). That is how the bench crate's cycle profiler
+//! times the production loop itself rather than a copy of it.
 
 use crate::feedback::SlotOutcome;
 use crate::packet::PacketId;
@@ -49,8 +55,12 @@ pub struct EngineSample {
     pub contention: f64,
     /// Wake-structure heap footprint in bytes (0 where not tracked).
     pub footprint_bytes: u64,
-    /// Per-packet state-lane bytes (0 where not tracked).
+    /// Packet-table bookkeeping bytes: the allocated id and id → index
+    /// remap lanes, *not* the protocol-state lane (0 where not tracked).
     pub state_bytes: u64,
+    /// Staged gather/scatter bytes: the stage plan's permutation buffers
+    /// plus the per-slot state scratch (0 where not tracked).
+    pub stage_bytes: u64,
 }
 
 impl EngineSample {
@@ -64,11 +74,102 @@ impl EngineSample {
     }
 }
 
+/// One pass of the sparse engine's slot loop, in loop order.
+///
+/// [`Hooks::on_phase`] reports each phase as it *ends*. `Permute`,
+/// `Gather`, and `Scatter` occur only on slots past the staging gate
+/// ([`staging_applies`](crate::engine::stage::staging_applies)); below it
+/// `Split` reads the state lane directly. A slot with no participant ends
+/// at `Resolve`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EnginePhase {
+    /// Next event, silent-gap accounting, wake-set advance.
+    Control,
+    /// Arrivals: protocol factory and first wake draw.
+    Inject,
+    /// Draining the slot's wake bucket.
+    Take,
+    /// Radix id → address sort (staged slots).
+    Permute,
+    /// Handle resolution and state copy-in sweeps (staged slots).
+    Gather,
+    /// The `send_on_access` draws.
+    Split,
+    /// Jam decision and slot outcome.
+    Resolve,
+    /// Listener observations and contention update.
+    Observe,
+    /// Listener wake-delay draws.
+    Wake,
+    /// Listener wake-set pushes.
+    Sched,
+    /// Sender observations and reschedules.
+    Senders,
+    /// Address-ordered state copy-back (staged slots).
+    Scatter,
+    /// Retire, compaction, checkpoint, sampling.
+    Depart,
+}
+
+impl EnginePhase {
+    /// Every phase, in loop order; `ALL[p as usize] == p`.
+    pub const ALL: [EnginePhase; 13] = [
+        EnginePhase::Control,
+        EnginePhase::Inject,
+        EnginePhase::Take,
+        EnginePhase::Permute,
+        EnginePhase::Gather,
+        EnginePhase::Split,
+        EnginePhase::Resolve,
+        EnginePhase::Observe,
+        EnginePhase::Wake,
+        EnginePhase::Sched,
+        EnginePhase::Senders,
+        EnginePhase::Scatter,
+        EnginePhase::Depart,
+    ];
+
+    /// `(slug, label)` per phase, indexed like [`EnginePhase::ALL`].
+    const NAMES: [(&'static str, &'static str); 13] = [
+        ("control", "control (next event, gaps, advance)"),
+        ("inject", "inject (arrivals, factory, first wake)"),
+        ("take", "take (bucket drain)"),
+        ("permute", "permute (radix id→address sort, staged slots)"),
+        (
+            "gather",
+            "gather (resolve + state copy-in sweeps, staged slots)",
+        ),
+        ("split", "split (send_on_access draws)"),
+        ("resolve", "resolve (jam decision, slot outcome)"),
+        ("observe", "observe (listener cohorts, contention)"),
+        ("wake", "wake (listener delay draws)"),
+        ("sched", "sched (calendar pushes)"),
+        ("senders", "senders (observe, reschedule)"),
+        (
+            "scatter",
+            "scatter (address-ordered state copy-back, staged slots)",
+        ),
+        ("depart", "depart (retire, compaction, checkpoint)"),
+    ];
+
+    /// Stable machine-readable key (the JSON key in `BENCH_engine.json`).
+    pub fn slug(self) -> &'static str {
+        Self::NAMES[self as usize].0
+    }
+
+    /// What the phase covers, for human-readable tables.
+    pub fn label(self) -> &'static str {
+        Self::NAMES[self as usize].1
+    }
+}
+
 /// Callbacks invoked by the engines as the run evolves.
 ///
 /// All methods have empty default bodies; implement only what you need.
-/// `P` is the protocol type, so hooks can inspect protocol state (e.g. a
-/// backoff window) before and after each observation.
+/// Every engine calls the state-transition callbacks; only the sparse
+/// engine calls [`Hooks::on_phase`]. `P` is the protocol type, so hooks
+/// can inspect protocol state (e.g. a backoff window) before and after
+/// each observation.
 ///
 /// Packet identity is always the original injection-order [`PacketId`]:
 /// engines that relocate per-packet state internally (the sparse engine's
@@ -135,9 +236,19 @@ pub trait Hooks<P> {
     fn on_sample(&mut self, sample: &EngineSample) {
         let _ = sample;
     }
+
+    /// The sparse engine finished `phase` of the current event slot (see
+    /// [`EnginePhase`] for the order). Only the sparse engine calls this.
+    /// The default body is empty, so hook sets that leave it alone pay
+    /// nothing after monomorphization.
+    fn on_phase(&mut self, phase: EnginePhase) {
+        let _ = phase;
+    }
 }
 
-/// The trivial hook set: observes nothing, costs nothing.
+/// The trivial hook set: observes nothing, costs nothing — every callback
+/// keeps its empty default body, so a `NoHooks` run compiles to the bare
+/// loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoHooks;
 
@@ -192,6 +303,11 @@ impl<P, A: Hooks<P>, B: Hooks<P>> Hooks<P> for Both<A, B> {
         self.0.on_sample(sample);
         self.1.on_sample(sample);
     }
+
+    fn on_phase(&mut self, phase: EnginePhase) {
+        self.0.on_phase(phase);
+        self.1.on_phase(phase);
+    }
 }
 
 #[cfg(test)]
@@ -205,6 +321,7 @@ mod tests {
         observes: u32,
         slots: u32,
         gaps: u32,
+        phases: u32,
     }
 
     impl Hooks<u8> for Counter {
@@ -223,6 +340,9 @@ mod tests {
         fn on_gap(&mut self, _f: Slot, _t: Slot, _j: u64) {
             self.gaps += 1;
         }
+        fn on_phase(&mut self, _p: EnginePhase) {
+            self.phases += 1;
+        }
     }
 
     #[test]
@@ -233,10 +353,11 @@ mod tests {
         Hooks::<u8>::on_observe(&mut both, 0, PacketId(0), &0, &1);
         Hooks::<u8>::on_slot(&mut both, 0, &SlotOutcome::Empty);
         Hooks::<u8>::on_gap(&mut both, 0, 5, 1);
+        Hooks::<u8>::on_phase(&mut both, EnginePhase::Control);
         for c in [&both.0, &both.1] {
             assert_eq!(
-                (c.injects, c.departs, c.observes, c.slots, c.gaps),
-                (1, 1, 1, 1, 1)
+                (c.injects, c.departs, c.observes, c.slots, c.gaps, c.phases),
+                (1, 1, 1, 1, 1, 1)
             );
         }
     }
@@ -246,6 +367,7 @@ mod tests {
         let mut h = NoHooks;
         Hooks::<u8>::on_inject(&mut h, 0, PacketId(0), &0);
         Hooks::<u8>::on_gap(&mut h, 0, 1, 0);
+        Hooks::<u8>::on_phase(&mut h, EnginePhase::Depart);
     }
 
     struct Sampler {
@@ -279,6 +401,7 @@ mod tests {
             contention: 0.0,
             footprint_bytes: 0,
             state_bytes: 0,
+            stage_bytes: 0,
         }
     }
 

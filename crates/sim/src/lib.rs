@@ -61,7 +61,7 @@
 //! | [`time`], [`packet`], [`feedback`] | model vocabulary |
 //! | [`protocol`] | [`Protocol`](protocol::Protocol) / [`SparseProtocol`](protocol::SparseProtocol) traits |
 //! | [`arrivals`], [`jamming`] | adversary strategies |
-//! | [`engine`] | shared [`EngineCore`](engine::EngineCore) + dense / sparse / grouped strategies |
+//! | [`engine`] | shared [`EngineCore`](engine::core::EngineCore) + dense / sparse / grouped strategies |
 //! | [`scenario`] | declarative run descriptions + the canonical scenario registry |
 //! | [`metrics`] | totals, per-packet stats, trajectory series |
 //! | [`hooks`] | zero-cost analysis callbacks |
@@ -105,7 +105,7 @@ pub mod prelude {
         resolve_slot, ChannelModel, CostlyCollisions, Feedback, FeedbackModel, Intent,
         NoCollisionDetection, Observation, SlotOutcome, Ternary,
     };
-    pub use crate::hooks::{Both, EngineSample, Hooks, NoHooks};
+    pub use crate::hooks::{Both, EnginePhase, EngineSample, Hooks, NoHooks};
     pub use crate::jamming::{
         BacklogJam, BudgetedRandomJam, Jammer, NoJam, PeriodicBurst, RandomJam, ReactiveAny,
         ReactiveTargeted, WindowPrefixJam, WithReactive,

@@ -9,9 +9,11 @@
 //! The suite has three layers:
 //!
 //! 1. **On/off equivalence** — every `(registry scenario, channel model)`
-//!    combination is run twice, bare and with a [`FlightRecorder`]
-//!    attached, and the full-result FNV hashes (totals, per-packet table,
-//!    series, all f64s by bit pattern) must agree combo by combo.
+//!    combination is run three times: bare, with a [`FlightRecorder`]
+//!    attached, and with a hook set counting the engine's
+//!    [`Hooks::on_phase`] reports; the full-result FNV hashes (totals,
+//!    per-packet table, series, all f64s by bit pattern) must agree combo
+//!    by combo.
 //! 2. **Pinned grand hash** — the fold of all those per-combo hashes is
 //!    pinned to a recorded constant, so the *runs themselves* cannot drift
 //!    silently under cover of "both sides changed together".
@@ -23,6 +25,7 @@
 use lowsense::{LowSensing, Params};
 use lowsense_obs::{FlightRecorder, StallConfig, StallDetector, StallKind};
 use lowsense_sim::feedback::ChannelModel;
+use lowsense_sim::hooks::{EnginePhase, Hooks};
 use lowsense_sim::metrics::RunResult;
 use lowsense_sim::scenario::{scenarios, DynScenario};
 
@@ -116,11 +119,28 @@ fn recorded_run(s: &DynScenario, rec: &mut FlightRecorder) -> RunResult {
     s.run_sparse_hooked(|_| LowSensing::new(Params::default()), rec)
 }
 
+/// Counts the sparse engine's phase reports, the way the bench crate's
+/// cycle probe consumes them.
+#[derive(Default)]
+struct PhaseCount([u64; EnginePhase::ALL.len()]);
+
+impl Hooks<LowSensing> for PhaseCount {
+    fn wants_observe(&self) -> bool {
+        false
+    }
+
+    fn on_phase(&mut self, phase: EnginePhase) {
+        self.0[phase as usize] += 1;
+    }
+}
+
 /// Layer 1: telemetry on vs off, combo by combo. Any inequality is the
-/// recorder perturbing the simulation — the one thing it must never do.
+/// recorder or the phase probe perturbing the simulation — the one thing
+/// they must never do.
 #[test]
 fn flight_recorder_never_perturbs_any_registry_run() {
     let mut sampled = 0u64;
+    let mut phases = PhaseCount::default();
     for (scenario, tag) in grid() {
         let off = bare_run(&scenario);
         let mut rec = FlightRecorder::new(scenario.name(), 64, 256);
@@ -132,9 +152,21 @@ fn flight_recorder_never_perturbs_any_registry_run() {
             scenario.name()
         );
         sampled += rec.samples().len() as u64 + rec.dropped();
+        let probed =
+            scenario.run_sparse_hooked(|_| LowSensing::new(Params::default()), &mut phases);
+        assert_eq!(
+            result_hash(&off),
+            result_hash(&probed),
+            "{} [{tag}]: counting phase reports changed the run",
+            scenario.name()
+        );
     }
-    // Equivalence must not be vacuous: the recorder really was sampling.
+    // Equivalence must not be vacuous: the recorder really was sampling,
+    // and the engine really was reporting phases.
     assert!(sampled > 0, "no combo produced a single flight sample");
+    let control = phases.0[EnginePhase::Control as usize];
+    assert!(control > 0, "no combo reported a single phase");
+    assert_eq!(control, phases.0[EnginePhase::Take as usize]);
 }
 
 /// Layer 2: the grand fold of every per-combo hash, pinned. If this moves

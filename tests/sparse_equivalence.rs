@@ -440,12 +440,16 @@ fn totals_only_bit_identical() {
 /// samples taken after every event slot: the slot's participants are the
 /// growth in sends + listens, and the backlog after the slot bounds the
 /// dense state lane the gate saw from below, so a slot counted here was
-/// certainly staged.
+/// certainly staged. The engine's own `Permute`/`Gather`/`Scatter` phase
+/// reports are counted alongside, so the suite can check that the engine
+/// *did* stage those slots, not only that the gate says it would.
 #[derive(Default)]
 struct StageCount {
     accesses: u64,
     busy_slots: u64,
     staged_slots: u64,
+    /// `Permute`, `Gather`, `Scatter` reports, in that order.
+    staged_phases: [u64; 3],
 }
 
 impl<P> Hooks<P> for StageCount {
@@ -467,6 +471,15 @@ impl<P> Hooks<P> for StageCount {
             if staging_applies(participants, lane) {
                 self.staged_slots += 1;
             }
+        }
+    }
+
+    fn on_phase(&mut self, phase: EnginePhase) {
+        match phase {
+            EnginePhase::Permute => self.staged_phases[0] += 1,
+            EnginePhase::Gather => self.staged_phases[1] += 1,
+            EnginePhase::Scatter => self.staged_phases[2] += 1,
+            _ => {}
         }
     }
 }
@@ -496,6 +509,10 @@ fn staged_high_fanout_300k_three_way_bit_identical() {
     assert_eq!(
         count.staged_slots, count.busy_slots,
         "every high-fanout slot must stage"
+    );
+    assert_eq!(
+        count.staged_phases, [count.staged_slots; 3],
+        "the engine must permute, gather, and scatter exactly the predicted slots"
     );
     // The probed run is the wheel leg: hooks only read, and the
     // observability suite pins that sampling never perturbs a result.
