@@ -34,17 +34,14 @@ use lowsense_sim::rng::SimRng;
 ///
 /// ```
 /// use lowsense_baselines::NoCdBackoff;
-/// use lowsense_sim::feedback::NoCollisionDetection;
 /// use lowsense_sim::prelude::*;
 ///
-/// let result = run_sparse_model(
-///     &SimConfig::new(1).limits(Limits {
-///         max_slot: 2_000_000,
-///         max_steps: u64::MAX,
-///     }),
+/// let result = run_sparse(
+///     &SimConfig::new(1)
+///         .limits(Limits::until_slot(2_000_000))
+///         .model(ChannelModel::NoCollisionDetection),
 ///     Batch::new(48),
 ///     NoJam,
-///     NoCollisionDetection,
 ///     |_| NoCdBackoff::new(4.0, 4096.0, 2.0),
 ///     &mut NoHooks,
 /// );
@@ -152,8 +149,8 @@ mod tests {
     use super::*;
     use lowsense_sim::arrivals::Batch;
     use lowsense_sim::config::{Limits, SimConfig};
-    use lowsense_sim::engine::{run_sparse, run_sparse_model};
-    use lowsense_sim::feedback::NoCollisionDetection;
+    use lowsense_sim::engine::run_sparse;
+    use lowsense_sim::feedback::ChannelModel;
     use lowsense_sim::hooks::NoHooks;
     use lowsense_sim::jamming::NoJam;
 
@@ -222,15 +219,16 @@ mod tests {
 
     #[test]
     fn drains_a_batch_on_the_no_cd_channel() {
-        let cfg = SimConfig::new(7).limits(Limits {
-            max_slot: 2_000_000,
-            max_steps: u64::MAX,
-        });
-        let r = run_sparse_model(
+        let cfg = SimConfig::new(7)
+            .limits(Limits {
+                max_slot: 2_000_000,
+                max_steps: u64::MAX,
+            })
+            .model(ChannelModel::NoCollisionDetection);
+        let r = run_sparse(
             &cfg,
             Batch::new(64),
             NoJam,
-            NoCollisionDetection,
             |_| NoCdBackoff::new(4.0, 4096.0, 2.0),
             &mut NoHooks,
         );

@@ -25,7 +25,9 @@ use crate::progress::{ProgressConfig, ProgressMeta, Reporter, UnitDone};
 use crate::seed::cell_seed;
 use crate::spec::CampaignSpec;
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// One cell of a finished campaign: grid coordinates plus the merged
@@ -104,6 +106,12 @@ impl CampaignResult {
 }
 
 /// Executes one `(cell, replicate)` unit: derive the seed, run, fold.
+///
+/// A panicking run is re-raised with its identity in front of the
+/// original message: the campaign name and seed, the cell index and its
+/// scenario × protocol × model labels, the replicate, and the derived run
+/// seed. Both executors reach every unit through here, so serial and
+/// sharded runs of the same spec raise the same message.
 fn run_unit(spec: &CampaignSpec, unit: usize) -> CellStats {
     let replicates = spec.replicates as usize;
     let cell = unit / replicates;
@@ -120,8 +128,31 @@ fn run_unit(spec: &CampaignSpec, unit: usize) -> CellStats {
     if let Some(model) = spec.models.get(model_idx) {
         seeded = seeded.model(*model);
     }
-    let result = spec.protocols[protocol_idx].run(&seeded, point.knobs());
+    let protocol = &spec.protocols[protocol_idx];
+    // AssertUnwindSafe: a caught panic is always re-raised below.
+    let result = catch_unwind(AssertUnwindSafe(|| protocol.run(&seeded, point.knobs())))
+        .unwrap_or_else(|payload| {
+            panic!(
+                "campaign {:?} (seed {}): cell {cell} [{} × {} × {}] replicate {replicate} \
+                 (run seed {seed}) panicked: {}",
+                spec.name,
+                spec.seed,
+                point.label(),
+                protocol.label(),
+                seeded.channel_model().label(),
+                panic_message(payload.as_ref()),
+            )
+        });
     CellStats::of_run(&result, &spec.metrics)
+}
+
+/// The text of a panic payload (`panic!` produces `&str` or `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("<non-string payload>")
 }
 
 /// Merges per-unit accumulators into cell reports, always left to right in

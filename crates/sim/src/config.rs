@@ -1,6 +1,7 @@
 //! Run configuration shared by all engines.
 
 use crate::arrivals::ArrivalProcess;
+use crate::feedback::ChannelModel;
 use crate::metrics::MetricsConfig;
 use crate::rng::SimRng;
 use crate::time::Slot;
@@ -49,6 +50,8 @@ pub struct SimConfig {
     pub metrics: MetricsConfig,
     /// Safety limits.
     pub limits: Limits,
+    /// The channel the run resolves slots through.
+    pub model: ChannelModel,
 }
 
 impl SimConfig {
@@ -58,6 +61,7 @@ impl SimConfig {
             seed,
             metrics: MetricsConfig::default(),
             limits: Limits::default(),
+            model: ChannelModel::Ternary,
         }
     }
 
@@ -70,6 +74,12 @@ impl SimConfig {
     /// Replaces the limits.
     pub fn limits(mut self, limits: Limits) -> Self {
         self.limits = limits;
+        self
+    }
+
+    /// Selects the channel model (default: the paper's ternary channel).
+    pub fn model(mut self, model: ChannelModel) -> Self {
+        self.model = model;
         self
     }
 }

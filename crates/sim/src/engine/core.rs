@@ -26,12 +26,12 @@
 //! stepping strategy's event order identical across models (the sparse
 //! oracle suite stays three-way bit-identical), while reported slot
 //! numbers, latencies, and `last_slot` reflect physical time. Under
-//! [`Ternary`] the skew is identically zero and the slot loop monomorphizes
+//! [`Ternary`](crate::feedback::Ternary) the skew is identically zero and the slot loop monomorphizes
 //! to the pre-model machine code.
 
 use crate::arrivals::ArrivalProcess;
 use crate::config::{ArrivalCursor, Limits, SimConfig};
-use crate::feedback::{resolve_slot, FeedbackModel, SlotOutcome, Ternary};
+use crate::feedback::{resolve_slot, FeedbackModel, SlotOutcome};
 use crate::jamming::Jammer;
 use crate::metrics::{Metrics, RunResult};
 use crate::packet::PacketId;
@@ -42,11 +42,11 @@ use crate::view::SystemView;
 /// Shared state and plumbing for one simulation run.
 ///
 /// Constructed by an engine's entry point from a [`SimConfig`], an arrival
-/// process, and a jammer; consumed by [`EngineCore::finish`] into the run's
-/// [`RunResult`]. The third parameter is the run's [`FeedbackModel`],
-/// defaulting to the paper's [`Ternary`] channel.
+/// process, a jammer, and the static [`FeedbackModel`] the config's
+/// [`ChannelModel`](crate::feedback::ChannelModel) selected; consumed by
+/// [`EngineCore::finish`] into the run's [`RunResult`].
 #[derive(Debug)]
-pub struct EngineCore<A, J, M = Ternary> {
+pub struct EngineCore<A, J, M> {
     /// The run's deterministic RNG. Engines draw protocol coins from it so
     /// one seed fixes the entire execution.
     pub rng: SimRng,
@@ -63,21 +63,9 @@ pub struct EngineCore<A, J, M = Ternary> {
     skew: u64,
 }
 
-impl<A: ArrivalProcess, J: Jammer> EngineCore<A, J> {
-    /// Creates the substrate for one run under the default [`Ternary`]
-    /// channel.
-    ///
-    /// (Defined on the `Ternary`-concrete impl so plain `EngineCore::new`
-    /// call sites keep inferring the default model — default type
-    /// parameters do not participate in expression inference.)
-    pub fn new(cfg: &SimConfig, arrivals: A, jammer: J) -> Self {
-        Self::with_model(cfg, arrivals, jammer, Ternary)
-    }
-}
-
 impl<A: ArrivalProcess, J: Jammer, M: FeedbackModel> EngineCore<A, J, M> {
-    /// Creates the substrate for one run under an explicit feedback model.
-    pub fn with_model(cfg: &SimConfig, arrivals: A, jammer: J, model: M) -> Self {
+    /// Creates the substrate for one run under `model`.
+    pub fn new(cfg: &SimConfig, arrivals: A, jammer: J, model: M) -> Self {
         EngineCore {
             rng: SimRng::new(cfg.seed),
             metrics: Metrics::new(cfg.metrics),
@@ -98,7 +86,7 @@ impl<A: ArrivalProcess, J: Jammer, M: FeedbackModel> EngineCore<A, J, M> {
     }
 
     /// Physical-minus-logical clock skew so far (identically 0 under
-    /// [`Ternary`]).
+    /// [`Ternary`](crate::feedback::Ternary)).
     #[inline]
     pub fn skew(&self) -> u64 {
         self.skew
@@ -268,6 +256,7 @@ impl<A: ArrivalProcess, J: Jammer, M: FeedbackModel> EngineCore<A, J, M> {
 mod tests {
     use super::*;
     use crate::arrivals::Batch;
+    use crate::feedback::Ternary;
     use crate::jamming::{NoJam, PeriodicBurst, ReactiveAny};
 
     #[test]
@@ -276,7 +265,7 @@ mod tests {
             max_slot: 10,
             max_steps: 3,
         });
-        let mut core = EngineCore::new(&cfg, Batch::new(1), NoJam);
+        let mut core = EngineCore::new(&cfg, Batch::new(1), NoJam, Ternary);
         assert!(core.within_limits(0));
         assert!(core.within_limits(10));
         assert!(!core.within_limits(11));
@@ -291,7 +280,7 @@ mod tests {
     #[test]
     fn arrival_cursor_consumption_via_core() {
         let cfg = SimConfig::new(2);
-        let mut core = EngineCore::new(&cfg, Batch::new(5), NoJam);
+        let mut core = EngineCore::new(&cfg, Batch::new(5), NoJam, Ternary);
         assert_eq!(core.peek_arrival(0, 0, 0.0), Some((0, 5)));
         assert_eq!(core.peek_arrival(0, 0, 0.0), Some((0, 5)), "peek caches");
         core.consume_arrival();
@@ -301,7 +290,7 @@ mod tests {
     #[test]
     fn jam_decision_consults_reactive_only_with_senders() {
         let cfg = SimConfig::new(3);
-        let mut core = EngineCore::new(&cfg, Batch::new(1), ReactiveAny::new(1));
+        let mut core = EngineCore::new(&cfg, Batch::new(1), ReactiveAny::new(1), Ternary);
         // Adaptive-only path can never fire for a reactive adversary.
         assert!(!core.adaptive_jam(0, 1, 1.0));
         // No senders: reactive declines.
@@ -314,7 +303,7 @@ mod tests {
     #[test]
     fn resolve_accounts_the_slot() {
         let cfg = SimConfig::new(4);
-        let mut core = EngineCore::new(&cfg, Batch::new(1), NoJam);
+        let mut core = EngineCore::new(&cfg, Batch::new(1), NoJam, Ternary);
         let outcome = core.resolve(7, false, &[PacketId(0)]);
         assert_eq!(outcome, SlotOutcome::Success { id: PacketId(0) });
         assert_eq!(core.metrics.totals.successes, 1);
@@ -324,7 +313,7 @@ mod tests {
     #[test]
     fn gap_accounting_splits_active_and_inactive() {
         let cfg = SimConfig::new(5);
-        let mut core = EngineCore::new(&cfg, Batch::new(1), PeriodicBurst::new(10, 3, 0));
+        let mut core = EngineCore::new(&cfg, Batch::new(1), PeriodicBurst::new(10, 3, 0), Ternary);
         // Active gap: jam slots counted exactly by the deterministic jammer.
         assert_eq!(core.account_gap(0, 20, 2, 0.5), Some(6));
         assert_eq!(core.metrics.totals.active_slots, 20);
@@ -338,8 +327,7 @@ mod tests {
     fn costly_model_skews_physical_time_only() {
         use crate::feedback::CostlyCollisions;
         let cfg = SimConfig::new(6);
-        let mut core =
-            EngineCore::with_model(&cfg, Batch::new(3), NoJam, CostlyCollisions::new(0.5));
+        let mut core = EngineCore::new(&cfg, Batch::new(3), NoJam, CostlyCollisions::new(0.5));
         let a = core.note_inject(0);
         let b = core.note_inject(0);
         // Logical slot 0: a 2-way collision → 1 extra physical slot.
@@ -364,7 +352,7 @@ mod tests {
     #[test]
     fn ternary_core_has_zero_skew() {
         let cfg = SimConfig::new(7);
-        let mut core = EngineCore::new(&cfg, Batch::new(2), NoJam);
+        let mut core = EngineCore::new(&cfg, Batch::new(2), NoJam, Ternary);
         core.resolve(0, false, &[PacketId(0), PacketId(1)]);
         core.resolve(1, true, &[PacketId(0), PacketId(1)]);
         assert_eq!(core.skew(), 0);
@@ -374,7 +362,7 @@ mod tests {
     #[test]
     fn finish_carries_the_seed() {
         let cfg = SimConfig::new(99);
-        let core = EngineCore::new(&cfg, Batch::new(0), NoJam);
+        let core = EngineCore::new(&cfg, Batch::new(0), NoJam, Ternary);
         assert_eq!(core.finish().seed, 99);
     }
 }

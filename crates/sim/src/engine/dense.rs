@@ -14,7 +14,7 @@
 use crate::arrivals::ArrivalProcess;
 use crate::config::SimConfig;
 use crate::engine::core::EngineCore;
-use crate::feedback::{FeedbackModel, Intent, Observation, SlotOutcome, Ternary};
+use crate::feedback::{with_model, FeedbackModel, Intent, Observation, SlotOutcome};
 use crate::hooks::Hooks;
 use crate::jamming::Jammer;
 use crate::metrics::RunResult;
@@ -68,14 +68,13 @@ where
     J: Jammer,
     H: Hooks<P>,
 {
-    run_dense_model(cfg, arrivals, jammer, Ternary, factory, hooks)
+    with_model!(cfg.model, |model| run_dense_with(
+        cfg, arrivals, jammer, model, factory, hooks
+    ))
 }
 
-/// Runs a dense simulation under an explicit [`FeedbackModel`].
-///
-/// [`run_dense`] is this with the [`Ternary`] model; both monomorphize, so
-/// the ternary slot loop is unchanged machine code.
-pub fn run_dense_model<P, F, A, J, M, H>(
+/// The dense slot loop, monomorphized per [`FeedbackModel`].
+fn run_dense_with<P, F, A, J, M, H>(
     cfg: &SimConfig,
     arrivals: A,
     jammer: J,
@@ -91,7 +90,7 @@ where
     M: FeedbackModel,
     H: Hooks<P>,
 {
-    let mut core = EngineCore::with_model(cfg, arrivals, jammer, model);
+    let mut core = EngineCore::new(cfg, arrivals, jammer, model);
 
     // Packet table indexed by id; `active` lists live ids with `pos` as the
     // reverse index so departures are O(1).
@@ -407,17 +406,11 @@ mod tests {
 
     #[test]
     fn costly_collisions_dilate_the_clock_but_not_the_logic() {
-        use crate::feedback::CostlyCollisions;
+        use crate::feedback::ChannelModel;
         let cfg = SimConfig::new(1).limits(Limits::until_slot(99));
         let r = run_dense(&cfg, Batch::new(2), NoJam, |_| Greedy, &mut NoHooks);
-        let rc = run_dense_model(
-            &cfg,
-            Batch::new(2),
-            NoJam,
-            CostlyCollisions::new(0.5),
-            |_| Greedy,
-            &mut NoHooks,
-        );
+        let costly = cfg.model(ChannelModel::CostlyCollisions { alpha: 0.5 });
+        let rc = run_dense(&costly, Batch::new(2), NoJam, |_| Greedy, &mut NoHooks);
         // Same logical trajectory: 100 two-way collisions either way.
         assert_eq!(r.totals.collision_slots, 100);
         assert_eq!(rc.totals.collision_slots, 100);

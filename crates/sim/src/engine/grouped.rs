@@ -17,7 +17,7 @@ use crate::arrivals::ArrivalProcess;
 use crate::config::SimConfig;
 use crate::dist::Binomial;
 use crate::engine::core::EngineCore;
-use crate::feedback::{Feedback, FeedbackModel, SlotOutcome, Ternary};
+use crate::feedback::{with_model, Feedback, FeedbackModel, SlotOutcome};
 use crate::jamming::Jammer;
 use crate::metrics::RunResult;
 use crate::packet::PacketId;
@@ -50,6 +50,14 @@ struct Group<P> {
 ///
 /// `factory` is invoked once per arrival event; every packet of the event
 /// shares the returned state (symmetry requires identical initial state).
+///
+/// The cohort update applies the [channel model](SimConfig::model)'s
+/// **listener** feedback — exact for models where senders and listeners
+/// perceive the channel identically (ternary, costly collisions). Under
+/// `NoCollisionDetection` the grouped abstraction is lossy (a failed sender
+/// privately hears noise while its cohort hears silence), so the
+/// feedback-grid campaign runs symmetric baselines through the per-packet
+/// engines instead.
 pub fn run_grouped<P, F, A, J>(cfg: &SimConfig, arrivals: A, jammer: J, factory: F) -> RunResult
 where
     P: SymmetricProtocol,
@@ -57,18 +65,13 @@ where
     A: ArrivalProcess,
     J: Jammer,
 {
-    run_grouped_model(cfg, arrivals, jammer, Ternary, factory)
+    with_model!(cfg.model, |model| run_grouped_with(
+        cfg, arrivals, jammer, model, factory
+    ))
 }
 
-/// [`run_grouped`] under an explicit [`FeedbackModel`].
-///
-/// The cohort update applies the model's **listener** feedback — exact for
-/// models where senders and listeners perceive the channel identically
-/// (ternary, costly collisions). Under `NoCollisionDetection` the grouped
-/// abstraction is lossy (a failed sender privately hears noise while its
-/// cohort hears silence), so the feedback-grid campaign runs symmetric
-/// baselines through the per-packet engines instead.
-pub fn run_grouped_model<P, F, A, J, M>(
+/// The cohort slot loop, monomorphized per [`FeedbackModel`].
+fn run_grouped_with<P, F, A, J, M>(
     cfg: &SimConfig,
     arrivals: A,
     jammer: J,
@@ -82,7 +85,7 @@ where
     J: Jammer,
     M: FeedbackModel,
 {
-    let mut core = EngineCore::with_model(cfg, arrivals, jammer, model);
+    let mut core = EngineCore::new(cfg, arrivals, jammer, model);
     let mut groups: Vec<Group<P>> = Vec::new();
     let mut senders: Vec<PacketId> = Vec::new();
     let mut t: Slot = 0;

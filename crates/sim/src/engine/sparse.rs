@@ -65,7 +65,7 @@ use crate::engine::stage::{staging_applies, SlotArena, StagePlan};
 use crate::engine::table::PacketTable;
 use crate::engine::wake::{cap_scratch, WakeQueue, WakeSet, SCRATCH_CAP};
 use crate::engine::wake_flat::FlatWakeQueue;
-use crate::feedback::{FeedbackModel, Observation, SlotOutcome, Ternary};
+use crate::feedback::{with_model, FeedbackModel, Observation, SlotOutcome};
 use crate::hooks::{EnginePhase, EngineSample, Hooks};
 use crate::jamming::Jammer;
 use crate::metrics::{RunResult, Totals};
@@ -125,33 +125,9 @@ where
     J: Jammer,
     H: Hooks<P>,
 {
-    run_sparse_with::<P, F, A, J, Ternary, H, WakeQueue>(
-        cfg, arrivals, jammer, Ternary, factory, hooks,
-    )
-}
-
-/// [`run_sparse`] under an explicit [`FeedbackModel`].
-///
-/// The model is a monomorphization parameter: dispatch happens once per
-/// run, never inside the slot loop, and the [`Ternary`] instantiation is
-/// the exact pre-model machine code.
-pub fn run_sparse_model<P, F, A, J, M, H>(
-    cfg: &SimConfig,
-    arrivals: A,
-    jammer: J,
-    model: M,
-    factory: F,
-    hooks: &mut H,
-) -> RunResult
-where
-    P: SparseProtocol,
-    F: FnMut(&mut SimRng) -> P,
-    A: ArrivalProcess,
-    J: Jammer,
-    M: FeedbackModel,
-    H: Hooks<P>,
-{
-    run_sparse_with::<P, F, A, J, M, H, WakeQueue>(cfg, arrivals, jammer, model, factory, hooks)
+    with_model!(cfg.model, |model| {
+        run_sparse_with::<_, _, _, _, _, _, WakeQueue>(cfg, arrivals, jammer, model, factory, hooks)
+    })
 }
 
 /// [`run_sparse`], but scheduling on the retained flat calendar ring
@@ -177,30 +153,11 @@ where
     J: Jammer,
     H: Hooks<P>,
 {
-    run_sparse_with::<P, F, A, J, Ternary, H, FlatWakeQueue>(
-        cfg, arrivals, jammer, Ternary, factory, hooks,
-    )
-}
-
-/// [`run_sparse_flat`] under an explicit [`FeedbackModel`], for the
-/// three-way equivalence suite's non-ternary runs.
-pub fn run_sparse_flat_model<P, F, A, J, M, H>(
-    cfg: &SimConfig,
-    arrivals: A,
-    jammer: J,
-    model: M,
-    factory: F,
-    hooks: &mut H,
-) -> RunResult
-where
-    P: SparseProtocol,
-    F: FnMut(&mut SimRng) -> P,
-    A: ArrivalProcess,
-    J: Jammer,
-    M: FeedbackModel,
-    H: Hooks<P>,
-{
-    run_sparse_with::<P, F, A, J, M, H, FlatWakeQueue>(cfg, arrivals, jammer, model, factory, hooks)
+    with_model!(cfg.model, |model| {
+        run_sparse_with::<_, _, _, _, _, _, FlatWakeQueue>(
+            cfg, arrivals, jammer, model, factory, hooks,
+        )
+    })
 }
 
 /// The slot's listener (observe + wake) and sender passes, generic over
@@ -408,7 +365,7 @@ where
     H: Hooks<P>,
     Q: WakeSet,
 {
-    let mut core = EngineCore::with_model(cfg, arrivals, jammer, model);
+    let mut core = EngineCore::new(cfg, arrivals, jammer, model);
 
     // Epoch-compacted packet table: live states stay dense in memory as
     // the run drains, and the id → dense-index remap keeps original ids

@@ -26,7 +26,7 @@ use std::collections::BinaryHeap;
 use crate::arrivals::ArrivalProcess;
 use crate::config::SimConfig;
 use crate::engine::core::EngineCore;
-use crate::feedback::{FeedbackModel, Observation, SlotOutcome, Ternary};
+use crate::feedback::{with_model, FeedbackModel, Observation, SlotOutcome};
 use crate::hooks::Hooks;
 use crate::jamming::Jammer;
 use crate::metrics::RunResult;
@@ -55,12 +55,13 @@ where
     J: Jammer,
     H: Hooks<P>,
 {
-    run_sparse_reference_model(cfg, arrivals, jammer, Ternary, factory, hooks)
+    with_model!(cfg.model, |model| run_sparse_reference_with(
+        cfg, arrivals, jammer, model, factory, hooks
+    ))
 }
 
-/// [`run_sparse_reference`] under an explicit [`FeedbackModel`], so the
-/// dumb oracle loop can pin the optimized engine under every model.
-pub fn run_sparse_reference_model<P, F, A, J, M, H>(
+/// The heap-based slot loop, monomorphized per [`FeedbackModel`].
+fn run_sparse_reference_with<P, F, A, J, M, H>(
     cfg: &SimConfig,
     arrivals: A,
     jammer: J,
@@ -76,7 +77,7 @@ where
     M: FeedbackModel,
     H: Hooks<P>,
 {
-    let mut core = EngineCore::with_model(cfg, arrivals, jammer, model);
+    let mut core = EngineCore::new(cfg, arrivals, jammer, model);
 
     let mut packets: Vec<Option<P>> = Vec::new();
     // Each live packet has exactly one scheduled access event in the heap,

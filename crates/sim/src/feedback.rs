@@ -7,9 +7,12 @@
 //! station perceives is factored into a [`FeedbackModel`]: [`Ternary`]
 //! (the paper, and the default), [`NoCollisionDetection`] (Jiang–Zheng,
 //! arXiv:2111.06650), and [`CostlyCollisions`] (Anderton–Young,
-//! arXiv:1705.09271). Engines are generic over the model and monomorphize;
-//! [`ChannelModel`] is the runtime-selectable mirror used by scenarios and
-//! campaign specs.
+//! arXiv:1705.09271). A run selects its channel through
+//! [`SimConfig::model`](crate::config::SimConfig::model), a
+//! [`ChannelModel`] value; each engine entry point turns it into the
+//! matching static [`FeedbackModel`] type once per run (the crate-private
+//! `with_model!` macro below is the only such `match`) and runs a loop
+//! body monomorphized for that model.
 
 use crate::packet::PacketId;
 use crate::time::Slot;
@@ -285,12 +288,14 @@ impl FeedbackModel for CostlyCollisions {
     }
 }
 
-/// Runtime-selectable channel model — the scenario/campaign-facing mirror
-/// of the static [`FeedbackModel`] implementations.
+/// Runtime-selectable channel model — the configuration-facing mirror of
+/// the static [`FeedbackModel`] implementations.
 ///
-/// Scenarios carry one of these and dispatch **once per run** (outside the
-/// slot loop) to the matching monomorphized engine body, so model choice
-/// never costs dyn dispatch per slot.
+/// A [`SimConfig`](crate::config::SimConfig) carries one of these (and so
+/// does every scenario, through its config). The engine entry points
+/// dispatch on it **once per run**, outside the slot loop, to the matching
+/// monomorphized loop body, so model choice never costs dyn dispatch per
+/// slot.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ChannelModel {
     /// The paper's ternary full-sensing channel (default).
@@ -315,6 +320,30 @@ impl ChannelModel {
         }
     }
 }
+
+/// Evaluates `$body` with `$m` bound to the static [`FeedbackModel`] that
+/// the [`ChannelModel`] `$channel` selects — the crate's one runtime-to-
+/// static model dispatch. Engine entry points call it once per run, so each
+/// arm instantiates its own copy of the loop body named in `$body`.
+macro_rules! with_model {
+    ($channel:expr, |$m:ident| $body:expr) => {
+        match $channel {
+            $crate::feedback::ChannelModel::Ternary => {
+                let $m = $crate::feedback::Ternary;
+                $body
+            }
+            $crate::feedback::ChannelModel::NoCollisionDetection => {
+                let $m = $crate::feedback::NoCollisionDetection;
+                $body
+            }
+            $crate::feedback::ChannelModel::CostlyCollisions { alpha } => {
+                let $m = $crate::feedback::CostlyCollisions::new(alpha);
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_model;
 
 /// Resolves a slot given the sender set and the jamming decision.
 #[inline]

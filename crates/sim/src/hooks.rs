@@ -13,6 +13,7 @@
 //! times the production loop itself rather than a copy of it.
 
 use crate::feedback::SlotOutcome;
+use crate::metrics::implicit_throughput;
 use crate::packet::PacketId;
 use crate::time::Slot;
 
@@ -66,11 +67,7 @@ pub struct EngineSample {
 impl EngineSample {
     /// Implicit throughput `(N_t + J_t) / S_t` at this sample (0/0 ⇒ 1).
     pub fn implicit_throughput(&self) -> f64 {
-        if self.active_slots == 0 {
-            1.0
-        } else {
-            (self.arrivals + self.jammed_active) as f64 / self.active_slots as f64
-        }
+        implicit_throughput(self.arrivals, self.jammed_active, self.active_slots)
     }
 }
 

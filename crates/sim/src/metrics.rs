@@ -67,11 +67,7 @@ impl Totals {
 
     /// `(N_t + J_t) / S_t` — implicit throughput (0/0 ⇒ 1).
     pub fn implicit_throughput(&self) -> f64 {
-        if self.active_slots == 0 {
-            1.0
-        } else {
-            (self.arrivals + self.jammed_active) as f64 / self.active_slots as f64
-        }
+        implicit_throughput(self.arrivals, self.jammed_active, self.active_slots)
     }
 
     /// Total channel accesses.
@@ -82,6 +78,18 @@ impl Totals {
     /// Packets still in the system.
     pub fn backlog(&self) -> u64 {
         self.arrivals - self.successes
+    }
+}
+
+/// Implicit throughput `(N_t + J_t) / S_t`: arrivals plus jammed active
+/// slots over active slots, with 0/0 ⇒ 1. [`Totals`], [`SeriesPoint`] and
+/// [`EngineSample`](crate::hooks::EngineSample) all report it through this
+/// one function.
+pub fn implicit_throughput(arrivals: u64, jammed_active: u64, active_slots: u64) -> f64 {
+    if active_slots == 0 {
+        1.0
+    } else {
+        (arrivals + jammed_active) as f64 / active_slots as f64
     }
 }
 
@@ -114,11 +122,7 @@ pub struct SeriesPoint {
 impl SeriesPoint {
     /// Implicit throughput `(N_t + J_t) / S_t` at this sample.
     pub fn implicit_throughput(&self) -> f64 {
-        if self.active_slots == 0 {
-            1.0
-        } else {
-            (self.arrivals + self.jammed_active) as f64 / self.active_slots as f64
-        }
+        implicit_throughput(self.arrivals, self.jammed_active, self.active_slots)
     }
 }
 

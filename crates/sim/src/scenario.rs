@@ -1,8 +1,9 @@
 //! Declarative scenario layer: named, reusable run descriptions.
 //!
-//! A [`Scenario`] composes **arrivals × jammer × limits × metrics × seed**
-//! into one value; the protocol joins at the final step, when a run method
-//! is called with a factory. Experiments, examples, tests, and benches all
+//! A [`Scenario`] composes **arrivals × jammer × channel model × limits ×
+//! metrics × seed** into one value (the last four are its [`SimConfig`]);
+//! the protocol joins at the final step, when a run method is called with a
+//! factory. Experiments, examples, tests, and benches all
 //! construct runs through this layer, so adding a workload is a one-liner
 //! everywhere:
 //!
@@ -48,11 +49,9 @@ use std::fmt;
 use crate::arrivals::ArrivalProcess;
 use crate::config::{Limits, SimConfig};
 use crate::engine::{
-    run_dense, run_dense_model, run_grouped, run_grouped_model, run_sparse, run_sparse_flat,
-    run_sparse_flat_model, run_sparse_model, run_sparse_reference, run_sparse_reference_model,
-    SymmetricProtocol,
+    run_dense, run_grouped, run_sparse, run_sparse_flat, run_sparse_reference, SymmetricProtocol,
 };
-use crate::feedback::{ChannelModel, CostlyCollisions, NoCollisionDetection};
+use crate::feedback::ChannelModel;
 use crate::hooks::{Hooks, NoHooks};
 use crate::jamming::{Jammer, NoJam};
 use crate::metrics::{MetricsConfig, RunResult};
@@ -70,16 +69,14 @@ use crate::view::SystemView;
 pub struct NoArrivals;
 
 /// A named, reusable description of one simulation run: arrivals, jamming,
-/// limits, metrics, and seed. See the [module docs](self) for an example.
+/// and the run's [`SimConfig`] (channel model, limits, metrics, seed). See
+/// the [module docs](self) for an example.
 #[derive(Debug, Clone)]
 pub struct Scenario<A = NoArrivals, J = NoJam> {
     name: Cow<'static, str>,
-    seed: u64,
     arrivals: A,
     jammer: J,
-    limits: Limits,
-    metrics: MetricsConfig,
-    model: ChannelModel,
+    cfg: SimConfig,
 }
 
 impl Scenario<NoArrivals, NoJam> {
@@ -89,12 +86,9 @@ impl Scenario<NoArrivals, NoJam> {
     pub fn named(name: impl Into<Cow<'static, str>>) -> Self {
         Scenario {
             name: name.into(),
-            seed: 0,
             arrivals: NoArrivals,
             jammer: NoJam,
-            limits: Limits::default(),
-            metrics: MetricsConfig::default(),
-            model: ChannelModel::Ternary,
+            cfg: SimConfig::new(0),
         }
     }
 }
@@ -109,12 +103,9 @@ impl<A, J> Scenario<A, J> {
     pub fn arrivals<A2: ArrivalProcess>(self, arrivals: A2) -> Scenario<A2, J> {
         Scenario {
             name: self.name,
-            seed: self.seed,
             arrivals,
             jammer: self.jammer,
-            limits: self.limits,
-            metrics: self.metrics,
-            model: self.model,
+            cfg: self.cfg,
         }
     }
 
@@ -122,49 +113,45 @@ impl<A, J> Scenario<A, J> {
     pub fn jammer<J2: Jammer>(self, jammer: J2) -> Scenario<A, J2> {
         Scenario {
             name: self.name,
-            seed: self.seed,
             arrivals: self.arrivals,
             jammer,
-            limits: self.limits,
-            metrics: self.metrics,
-            model: self.model,
+            cfg: self.cfg,
         }
     }
 
     /// Selects the channel model the run resolves slots through
     /// (default: the paper's ternary channel).
     pub fn model(mut self, model: ChannelModel) -> Self {
-        self.model = model;
+        self.cfg.model = model;
         self
     }
 
     /// The scenario's channel model.
     pub fn channel_model(&self) -> ChannelModel {
-        self.model
+        self.cfg.model
     }
 
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.cfg.seed = seed;
         self
     }
 
     /// Replaces the safety limits.
     pub fn limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
+        self.cfg.limits = limits;
         self
     }
 
     /// Stops the slot clock after `max_slot` (shorthand for
     /// [`Limits::until_slot`]).
     pub fn until_slot(self, max_slot: Slot) -> Self {
-        let limits = Limits::until_slot(max_slot);
-        self.limits(limits)
+        self.limits(Limits::until_slot(max_slot))
     }
 
     /// Replaces the metrics configuration.
     pub fn metrics(mut self, metrics: MetricsConfig) -> Self {
-        self.metrics = metrics;
+        self.cfg.metrics = metrics;
         self
     }
 
@@ -176,15 +163,13 @@ impl<A, J> Scenario<A, J> {
     /// Enables the trajectory series with checkpoint spacing `factor` on
     /// top of the current metrics configuration.
     pub fn series(mut self, factor: f64) -> Self {
-        self.metrics = self.metrics.with_series(factor);
+        self.cfg.metrics = self.cfg.metrics.with_series(factor);
         self
     }
 
     /// The [`SimConfig`] this scenario resolves to.
     pub fn sim_config(&self) -> SimConfig {
-        SimConfig::new(self.seed)
-            .limits(self.limits)
-            .metrics(self.metrics)
+        self.cfg
     }
 }
 
@@ -209,30 +194,14 @@ where
     }
 
     /// [`Scenario::run_dense`] with analysis hooks attached.
-    ///
-    /// The channel model is dispatched **once here** (as in every run
-    /// method), outside the slot loop, to the matching monomorphized
-    /// engine body.
     pub fn run_dense_hooked<P, F, H>(&self, factory: F, hooks: &mut H) -> RunResult
     where
         P: Protocol,
         F: FnMut(&mut SimRng) -> P,
         H: Hooks<P>,
     {
-        let (cfg, a, j) = (
-            self.sim_config(),
-            self.arrivals.clone(),
-            self.jammer.clone(),
-        );
-        match self.model {
-            ChannelModel::Ternary => run_dense(&cfg, a, j, factory, hooks),
-            ChannelModel::NoCollisionDetection => {
-                run_dense_model(&cfg, a, j, NoCollisionDetection, factory, hooks)
-            }
-            ChannelModel::CostlyCollisions { alpha } => {
-                run_dense_model(&cfg, a, j, CostlyCollisions::new(alpha), factory, hooks)
-            }
-        }
+        let (a, j) = (self.arrivals.clone(), self.jammer.clone());
+        run_dense(&self.cfg, a, j, factory, hooks)
     }
 
     /// Runs the scenario on the [sparse engine](crate::engine::sparse).
@@ -251,20 +220,8 @@ where
         F: FnMut(&mut SimRng) -> P,
         H: Hooks<P>,
     {
-        let (cfg, a, j) = (
-            self.sim_config(),
-            self.arrivals.clone(),
-            self.jammer.clone(),
-        );
-        match self.model {
-            ChannelModel::Ternary => run_sparse(&cfg, a, j, factory, hooks),
-            ChannelModel::NoCollisionDetection => {
-                run_sparse_model(&cfg, a, j, NoCollisionDetection, factory, hooks)
-            }
-            ChannelModel::CostlyCollisions { alpha } => {
-                run_sparse_model(&cfg, a, j, CostlyCollisions::new(alpha), factory, hooks)
-            }
-        }
+        let (a, j) = (self.arrivals.clone(), self.jammer.clone());
+        run_sparse(&self.cfg, a, j, factory, hooks)
     }
 
     /// Runs the scenario on the sparse loop over the retained flat
@@ -276,25 +233,8 @@ where
         P: SparseProtocol,
         F: FnMut(&mut SimRng) -> P,
     {
-        let (cfg, a, j) = (
-            self.sim_config(),
-            self.arrivals.clone(),
-            self.jammer.clone(),
-        );
-        match self.model {
-            ChannelModel::Ternary => run_sparse_flat(&cfg, a, j, factory, &mut NoHooks),
-            ChannelModel::NoCollisionDetection => {
-                run_sparse_flat_model(&cfg, a, j, NoCollisionDetection, factory, &mut NoHooks)
-            }
-            ChannelModel::CostlyCollisions { alpha } => run_sparse_flat_model(
-                &cfg,
-                a,
-                j,
-                CostlyCollisions::new(alpha),
-                factory,
-                &mut NoHooks,
-            ),
-        }
+        let (a, j) = (self.arrivals.clone(), self.jammer.clone());
+        run_sparse_flat(&self.cfg, a, j, factory, &mut NoHooks)
     }
 
     /// Runs the scenario on the retained heap-based sparse loop
@@ -305,25 +245,8 @@ where
         P: SparseProtocol,
         F: FnMut(&mut SimRng) -> P,
     {
-        let (cfg, a, j) = (
-            self.sim_config(),
-            self.arrivals.clone(),
-            self.jammer.clone(),
-        );
-        match self.model {
-            ChannelModel::Ternary => run_sparse_reference(&cfg, a, j, factory, &mut NoHooks),
-            ChannelModel::NoCollisionDetection => {
-                run_sparse_reference_model(&cfg, a, j, NoCollisionDetection, factory, &mut NoHooks)
-            }
-            ChannelModel::CostlyCollisions { alpha } => run_sparse_reference_model(
-                &cfg,
-                a,
-                j,
-                CostlyCollisions::new(alpha),
-                factory,
-                &mut NoHooks,
-            ),
-        }
+        let (a, j) = (self.arrivals.clone(), self.jammer.clone());
+        run_sparse_reference(&self.cfg, a, j, factory, &mut NoHooks)
     }
 
     /// Runs the scenario on the [grouped engine](crate::engine::grouped).
@@ -332,20 +255,8 @@ where
         P: SymmetricProtocol,
         F: FnMut(&mut SimRng) -> P,
     {
-        let (cfg, a, j) = (
-            self.sim_config(),
-            self.arrivals.clone(),
-            self.jammer.clone(),
-        );
-        match self.model {
-            ChannelModel::Ternary => run_grouped(&cfg, a, j, factory),
-            ChannelModel::NoCollisionDetection => {
-                run_grouped_model(&cfg, a, j, NoCollisionDetection, factory)
-            }
-            ChannelModel::CostlyCollisions { alpha } => {
-                run_grouped_model(&cfg, a, j, CostlyCollisions::new(alpha), factory)
-            }
-        }
+        let (a, j) = (self.arrivals.clone(), self.jammer.clone());
+        run_grouped(&self.cfg, a, j, factory)
     }
 }
 
@@ -362,12 +273,9 @@ where
     pub fn boxed(self) -> DynScenario {
         Scenario {
             name: self.name,
-            seed: self.seed,
             arrivals: BoxedArrivals(Box::new(self.arrivals)),
             jammer: BoxedJammer(Box::new(self.jammer)),
-            limits: self.limits,
-            metrics: self.metrics,
-            model: self.model,
+            cfg: self.cfg,
         }
     }
 }

@@ -425,6 +425,74 @@ fn baselines_three_way_bit_identical_under_models() {
     }
 }
 
+/// Every public engine entry point reads its channel from
+/// `SimConfig::model`. The equivalence tests above compare the engines with
+/// each other, so they would still pass if every entry ignored the model;
+/// this one compares each entry with itself across models. Two stations
+/// that send every slot collide in all 100 slots of the horizon: costly
+/// collisions must charge overhead for them, the ternary channel must not,
+/// and the logical collision count must not move.
+#[test]
+fn every_entry_point_honours_the_config_model() {
+    #[derive(Clone)]
+    struct AlwaysSend;
+    impl Protocol for AlwaysSend {
+        fn intent(&mut self, _rng: &mut SimRng) -> Intent {
+            Intent::Send
+        }
+        fn observe(&mut self, _obs: &Observation) {}
+        fn send_probability(&self) -> f64 {
+            1.0
+        }
+        fn next_wake(&mut self, _rng: &mut SimRng) -> Option<u64> {
+            Some(0)
+        }
+    }
+    impl SparseProtocol for AlwaysSend {
+        fn send_on_access(&mut self, _rng: &mut SimRng) -> bool {
+            true
+        }
+    }
+    impl SymmetricProtocol for AlwaysSend {
+        fn send_probability(&self) -> f64 {
+            1.0
+        }
+        fn on_feedback(&mut self, _fb: Feedback) {}
+    }
+
+    type Entry = fn(&SimConfig) -> RunResult;
+    let entries: [(&str, Entry); 5] = [
+        ("run_dense", |c| {
+            run_dense(c, Batch::new(2), NoJam, |_| AlwaysSend, &mut NoHooks)
+        }),
+        ("run_grouped", |c| {
+            run_grouped(c, Batch::new(2), NoJam, |_| AlwaysSend)
+        }),
+        ("run_sparse", |c| {
+            run_sparse(c, Batch::new(2), NoJam, |_| AlwaysSend, &mut NoHooks)
+        }),
+        ("run_sparse_flat", |c| {
+            run_sparse_flat(c, Batch::new(2), NoJam, |_| AlwaysSend, &mut NoHooks)
+        }),
+        ("run_sparse_reference", |c| {
+            run_sparse_reference(c, Batch::new(2), NoJam, |_| AlwaysSend, &mut NoHooks)
+        }),
+    ];
+    let ternary = SimConfig::new(5).limits(Limits::until_slot(99));
+    let costly = ternary.model(ChannelModel::CostlyCollisions { alpha: 0.5 });
+    for (name, run) in entries {
+        let t = run(&ternary).totals;
+        let c = run(&costly).totals;
+        assert_eq!(t.collision_slots, 100, "{name}: ternary collisions");
+        assert_eq!(t.overhead_slots, 0, "{name}: ternary charged overhead");
+        assert!(c.overhead_slots > 0, "{name}: ignored the costly model");
+        assert_eq!(
+            c.collision_slots, t.collision_slots,
+            "{name}: the model changed the logical trajectory"
+        );
+    }
+}
+
 /// `totals_only` runs (the benchmark configuration) are equivalent too.
 #[test]
 fn totals_only_bit_identical() {
