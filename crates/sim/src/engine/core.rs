@@ -4,8 +4,8 @@
 //! one [`EngineCore`]: the core owns the run's RNG, the arrival cursor, the
 //! jammer (adaptive + reactive decision order), slot resolution, metrics,
 //! and safety limits, while the strategy owns only its per-packet
-//! bookkeeping (an epoch-compacted packet table plus a calendar wake
-//! queue, an access heap, or cohort groups) and the order in which slots
+//! bookkeeping (an epoch-compacted packet table plus a timing-wheel wake
+//! set, an access heap, or cohort groups) and the order in which slots
 //! are visited. This is what keeps the three engines
 //! semantically interchangeable: the plumbing they share is shared code,
 //! not triplicated code.
@@ -24,7 +24,7 @@
 //! **logical** time and accumulates the model's overhead as a clock
 //! `skew`, applied only when recording into metrics. This keeps every
 //! stepping strategy's event order identical across models (the sparse
-//! oracle suite stays three-way bit-identical), while reported slot
+//! engine stays bit-identical to its heap reference), while reported slot
 //! numbers, latencies, and `last_slot` reflect physical time. Under
 //! [`Ternary`](crate::feedback::Ternary) the skew is identically zero and the slot loop monomorphizes
 //! to the pre-model machine code.

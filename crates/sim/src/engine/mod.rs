@@ -19,11 +19,7 @@
 //!   the processing order.
 //! * [`sparse_reference`] — the retained heap-based sparse loop, keyed
 //!   `(slot, insertion_seq)`; the bit-for-bit equivalence oracle for
-//!   [`sparse`].
-//! * [`wake_flat`] — the retained flat calendar ring (the PR 2–6 production
-//!   wake set), now a second oracle: [`sparse::run_sparse_flat`] runs the
-//!   *same* generic sparse loop over it, so the wheel is pinned against a
-//!   structurally different queue as well as a different loop.
+//!   [`sparse`], which differs from it in both wake set and loop.
 //! * [`grouped`] — cohort engine for [`SymmetricProtocol`] baselines that
 //!   listen every slot, `O(groups)` per slot.
 //!
@@ -50,11 +46,9 @@ pub mod sparse_reference;
 pub mod stage;
 pub mod table;
 pub mod wake;
-pub mod wake_flat;
 
 pub use dense::run_dense;
 pub use grouped::{run_grouped, SymmetricProtocol};
-pub use sparse::{run_sparse, run_sparse_flat};
+pub use sparse::run_sparse;
 pub use sparse_reference::run_sparse_reference;
 pub use stage::{staging_applies, STAGE_MIN_LANE_BYTES, STAGE_MIN_PARTICIPANTS};
-pub use wake_flat::FlatWakeQueue;

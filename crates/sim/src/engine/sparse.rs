@@ -19,11 +19,6 @@
 //! `BENCH_engine.json`, which records this engine and the reference on a
 //! bit-identical workload).
 //!
-//! The loop body is generic over the wake set (the `WakeSet` trait): the
-//! production entry point [`run_sparse`] instantiates it with the wheel,
-//! while [`run_sparse_flat`] runs the *same* body over the retained flat
-//! calendar ring ([`FlatWakeQueue`](crate::engine::wake_flat)) — a second,
-//! structurally different oracle used by the three-way equivalence tests.
 //! Within a slot, the passes address states by per-slot *position*, with
 //! two position spaces behind one generic pass body (`slot_passes`, over
 //! the [`SlotArena`](crate::engine::stage) arena trait). On the **direct**
@@ -42,8 +37,8 @@
 //! end-of-slot, after a depart.
 //!
 //! Within one slot, packets are processed in **insertion order** — the
-//! order their wake events were scheduled — which the calendar queue hands
-//! back for free, with no per-slot sort. The previous heap-based loop is
+//! order their wake events were scheduled — which the wheel hands back for
+//! free, with no per-slot sort. The previous heap-based loop is
 //! retained as
 //! [`run_sparse_reference`](crate::engine::sparse_reference::run_sparse_reference)
 //! with its heap re-keyed on `(slot, insertion_seq)` so it pops the exact
@@ -52,19 +47,24 @@
 //! floating-point accumulation order, same hook sequence. Any edit here
 //! must preserve that ordering exactly.
 //!
-//! Cost: `O(accesses + arrivals + event slots · log participants)` in
-//! total. Because `LOW-SENSING BACKOFF` performs only polylog accesses per
-//! packet — the very property the paper proves — million-packet Monte Carlo
-//! runs are cheap. Exactness relative to the dense engine is enforced by
-//! the cross-engine statistical tests.
+//! Cost: `O(accesses + arrivals + event slots)` in total, amortized. An
+//! access is one wheel push plus at most four cascade moves (a wake more
+//! than `2^36` slots out adds one `O(log n)` far-heap push); an event slot
+//! adds one bounded bitmap scan for the next pending slot (at most 64 L0
+//! words, or 4 words per coarse level); a silent gap is `O(1)`. No slot
+//! sorts its participants: insertion order comes out of the wheel, and the
+//! staged path's address permutation is a radix sort, linear in the
+//! participant count. Because `LOW-SENSING BACKOFF` performs only polylog
+//! accesses per packet — the very property the paper proves —
+//! million-packet Monte Carlo runs are cheap. Exactness relative to the
+//! dense engine is enforced by the cross-engine statistical tests.
 
 use crate::arrivals::ArrivalProcess;
 use crate::config::SimConfig;
 use crate::engine::core::EngineCore;
 use crate::engine::stage::{staging_applies, SlotArena, StagePlan};
 use crate::engine::table::PacketTable;
-use crate::engine::wake::{cap_scratch, WakeQueue, WakeSet, SCRATCH_CAP};
-use crate::engine::wake_flat::FlatWakeQueue;
+use crate::engine::wake::{cap_scratch, WakeQueue, SCRATCH_CAP};
 use crate::feedback::{with_model, FeedbackModel, Observation, SlotOutcome};
 use crate::hooks::{EnginePhase, EngineSample, Hooks};
 use crate::jamming::Jammer;
@@ -126,37 +126,7 @@ where
     H: Hooks<P>,
 {
     with_model!(cfg.model, |model| {
-        run_sparse_with::<_, _, _, _, _, _, WakeQueue>(cfg, arrivals, jammer, model, factory, hooks)
-    })
-}
-
-/// [`run_sparse`], but scheduling on the retained flat calendar ring
-/// ([`crate::engine::wake_flat::FlatWakeQueue`]) instead of
-/// the hierarchical wheel.
-///
-/// Same generic loop body, different wake set: this is a *validation*
-/// entry point, the second oracle of the three-way equivalence suite
-/// (wheel vs flat ring vs heap reference, all bit-identical). Benchmarks
-/// and production callers should use [`run_sparse`]; the flat ring's far
-/// heap degrades on the long-gap workloads the wheel exists for.
-pub fn run_sparse_flat<P, F, A, J, H>(
-    cfg: &SimConfig,
-    arrivals: A,
-    jammer: J,
-    factory: F,
-    hooks: &mut H,
-) -> RunResult
-where
-    P: SparseProtocol,
-    F: FnMut(&mut SimRng) -> P,
-    A: ArrivalProcess,
-    J: Jammer,
-    H: Hooks<P>,
-{
-    with_model!(cfg.model, |model| {
-        run_sparse_with::<_, _, _, _, _, _, FlatWakeQueue>(
-            cfg, arrivals, jammer, model, factory, hooks,
-        )
+        run_sparse_with(cfg, arrivals, jammer, model, factory, hooks)
     })
 }
 
@@ -189,10 +159,10 @@ where
 /// through the scalar methods the defaults fall back to anyway. Each of
 /// the four passes ends with a [`Hooks::on_phase`] report.
 #[allow(clippy::too_many_arguments)]
-fn slot_passes<P, A, J, M, H, Q, S>(
+fn slot_passes<P, A, J, M, H, S>(
     arena: &mut S,
     core: &mut EngineCore<A, J, M>,
-    queue: &mut Q,
+    queue: &mut WakeQueue,
     hooks: &mut H,
     te: Slot,
     outcome: &SlotOutcome,
@@ -209,7 +179,6 @@ fn slot_passes<P, A, J, M, H, Q, S>(
     J: Jammer,
     M: FeedbackModel,
     H: Hooks<P>,
-    Q: WakeSet,
     S: SlotArena<P>,
 {
     let fb = model.listener_feedback(outcome);
@@ -337,10 +306,13 @@ fn slot_passes<P, A, J, M, H, Q, S>(
     hooks.on_phase(EnginePhase::Senders);
 }
 
-/// The sparse loop body, generic over the wake set. Every ordering-visible
-/// statement is shared by both instantiations, so agreement between
-/// [`run_sparse`] and [`run_sparse_flat`] pins exactly the queues' drain
-/// orders against each other.
+/// The sparse loop body for one monomorphized feedback model. Its RNG
+/// draws, observations, hook calls, and contention sums happen in the same
+/// order as in
+/// [`run_sparse_reference`](crate::engine::sparse_reference::run_sparse_reference),
+/// which keeps a `(slot, seq)`-keyed heap instead of the wheel and one
+/// interleaved per-packet pass instead of `slot_passes`; the equivalence
+/// suite pins the two bit-identical.
 ///
 /// The loop reports the end of every pass through [`Hooks::on_phase`], in
 /// [`EnginePhase`] order: an event slot emits `Control, Inject, Take`, then
@@ -348,7 +320,7 @@ fn slot_passes<P, A, J, M, H, Q, S>(
 /// Resolve, Observe, Wake, Sched, Senders, [Scatter,] Depart`, the
 /// bracketed phases on staged slots only. Phase reports read nothing and
 /// write nothing the run depends on; with inert hooks they compile away.
-fn run_sparse_with<P, F, A, J, M, H, Q>(
+fn run_sparse_with<P, F, A, J, M, H>(
     cfg: &SimConfig,
     arrivals: A,
     jammer: J,
@@ -363,7 +335,6 @@ where
     J: Jammer,
     M: FeedbackModel,
     H: Hooks<P>,
-    Q: WakeSet,
 {
     let mut core = EngineCore::new(cfg, arrivals, jammer, model);
 
@@ -372,7 +343,7 @@ where
     // valid for the queue, hooks, metrics, and traces throughout.
     let mut packets: PacketTable<P> = PacketTable::new();
     // Each live packet has exactly one scheduled access event in the queue.
-    let mut queue = Q::new();
+    let mut queue = WakeQueue::new();
     let mut active_count: u64 = 0;
     let mut contention = 0.0f64;
 
@@ -490,7 +461,8 @@ where
             core.checkpoint(te - 1, active_count, contention);
         }
 
-        // Slide the calendar window up to the slot being processed.
+        // Move the wheel's clock up to the slot being processed, cascading
+        // any coarse bucket whose block has become current.
         queue.advance_to(te);
         hooks.on_phase(EnginePhase::Control);
 

@@ -1,11 +1,12 @@
 //! The retained heap-based sparse loop, kept as the equivalence oracle for
-//! the calendar-queue engine in [`sparse`](crate::engine::sparse).
+//! the timing-wheel engine in [`sparse`](crate::engine::sparse), and that
+//! engine's only reference implementation.
 //!
 //! This is a semantics-preserving port of the previous `run_sparse`
 //! implementation: one binary-heap entry per scheduled access, keyed
 //! `(slot, insertion_seq)` — `insertion_seq` counts scheduling calls
 //! across the run — so same-slot participants pop in the order their
-//! events were scheduled. That is exactly the order the calendar queue
+//! events were scheduled. That is exactly the order the timing wheel
 //! hands back for free (buckets drain in push order; see
 //! `crate::engine::wake`), which is what lets the optimized engine skip
 //! its former per-slot id sort while this oracle stays bit-identical to

@@ -25,7 +25,7 @@
 //!    scratch, indexing it *through `pos_of` in canonical insertion
 //!    order*. Every RNG draw, observation, hook call, and contention
 //!    accumulation therefore happens in exactly the (slot, seq) order the
-//!    three-way oracle suite pins — bit-identical by construction; only
+//!    wheel-vs-heap oracle suite pins — bit-identical by construction; only
 //!    the memory addresses moved.
 //! 4. **Scatter** — [`PacketTable::scatter_from`] writes the mutated
 //!    states back through the same address-sorted handles, a second

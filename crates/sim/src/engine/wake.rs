@@ -4,13 +4,12 @@
 //! A [`WakeQueue`] holds, for every live packet, the one slot in which it
 //! will next access the channel. The classic structure for this is a binary
 //! heap — but a heap pays `O(log n)` scattered memory touches *per access*,
-//! and at paper scale those heap ops dominate the whole simulation. PRs 2–4
-//! replaced the heap with a flat 4096-bucket calendar ring (retained as the
-//! [`FlatWakeQueue`](crate::engine::wake_flat) oracle); that ring in turn
-//! degrades at million-station scale, where the long sleep gaps of the
-//! quantized LowSensing ladder overflow its window and churn the far heap.
-//! This module is the next rung: a **multi-level timing wheel** in the
-//! kernel-timer cascade style.
+//! and at paper scale those heap ops dominate the whole simulation. PRs 2–6
+//! replaced the heap with a flat 4096-bucket calendar ring; that ring in
+//! turn degraded at million-station scale, where the long sleep gaps of the
+//! quantized LowSensing ladder overflowed its window and churned its far
+//! heap. This module is the next rung: a **multi-level timing wheel** in
+//! the kernel-timer cascade style.
 //!
 //! # Levels as aligned blocks
 //!
@@ -28,7 +27,7 @@
 //! ```
 //!
 //! An event is pushed into the unique level whose range contains its slot:
-//! an O(1) append, no search. L0 reuses the flat ring's cache-line bucket
+//! an O(1) append, no search. L0 keeps the flat ring's cache-line bucket
 //! (inline-6 cell + occupancy bitmap), so the hot path at the 16384-station
 //! tier — where almost every delay lands in the current 4096-slot block —
 //! is the same machine code as before. Coarse buckets store `(slot, id)`
@@ -44,7 +43,7 @@
 //! pending slot, and every event in a finer level or an earlier coarse
 //! bucket would have a slot *before* the boundary being crossed. That makes
 //! the cascade `O(events moved)` with no scan of untouched buckets or of
-//! the far heap — the flat ring, by contrast, re-peeked its far heap on
+//! the far heap — the flat ring it replaced re-peeked its far heap on
 //! every advance. A `moved` counter (see
 //! [`cascade_moves`](WakeQueue::cascade_moves)) counts exactly the events
 //! re-placed, and each event cascades at most once per level: at most 4
@@ -73,7 +72,7 @@
 //!   the finer level fires at the *exact* `advance_to` that first makes
 //!   direct pushes to that finer level possible for `s`. Migrants land
 //!   before any subsequent direct push can, at every level. (This is the
-//!   same monotone-horizon argument the flat ring made for its single
+//!   monotone-horizon argument a single-level ring makes for its one
 //!   far/ring boundary, applied per level; naive delta-based level
 //!   selection, where an event's level depends on `slot - now` at schedule
 //!   time, would *break* it — a later push could take a shortcut into a
@@ -134,8 +133,7 @@ const INLINE: usize = 6;
 /// End of the `2^bits`-aligned block containing `t`, saturating at
 /// `u64::MAX`. The saturation mirrors the NEVER-sentinel convention of
 /// [`crate::time`]: a slot at `u64::MAX` is never strictly below a
-/// saturated end, so it parks in the far heap — exactly where the flat
-/// ring's saturating horizon left it.
+/// saturated end, so it parks in the far heap.
 #[inline]
 fn block_end(t: Slot, bits: u32) -> Slot {
     let block = (t >> bits) + 1;
@@ -267,34 +265,6 @@ pub(crate) const SCRATCH_CAP: usize = 4096;
 pub(crate) fn cap_scratch<T>(v: &mut Vec<T>, cap: usize) {
     if v.capacity() > 2 * cap {
         v.shrink_to(cap);
-    }
-}
-
-/// The wake-set interface the generic sparse loop is written against, so
-/// the same engine body runs over the production wheel ([`WakeQueue`]) and
-/// the retained flat ring
-/// ([`FlatWakeQueue`](crate::engine::wake_flat::FlatWakeQueue)) oracle.
-/// Implementations must drain each slot in global insertion (schedule-call)
-/// order; see the module docs.
-pub(crate) trait WakeSet {
-    /// An empty wake set with its clock at slot 0.
-    fn new() -> Self;
-    /// Schedules packet `id` to wake in `slot` (≥ the current base).
-    fn schedule(&mut self, slot: Slot, id: u32);
-    /// Best-effort hint that a `schedule(slot, _)` is coming a few calls
-    /// out; purely advisory (default: no-op), never affects results.
-    fn prefetch_schedule(&self, _slot: Slot) {}
-    /// The earliest slot with a pending event, if any.
-    fn next_slot(&self) -> Option<Slot>;
-    /// Moves the clock forward to `t` (≤ the earliest pending slot).
-    fn advance_to(&mut self, t: Slot);
-    /// Drains slot `t`'s events into `out` in insertion order.
-    fn take(&mut self, t: Slot, out: &mut Vec<u32>);
-    /// Approximate heap footprint in bytes, for out-of-band telemetry
-    /// sampling. Purely observational; implementations without a cheap
-    /// answer keep the default 0.
-    fn footprint_bytes(&self) -> usize {
-        0
     }
 }
 
@@ -656,35 +626,6 @@ impl WakeQueue {
     }
 }
 
-impl WakeSet for WakeQueue {
-    fn new() -> Self {
-        WakeQueue::new()
-    }
-    #[inline]
-    fn schedule(&mut self, slot: Slot, id: u32) {
-        WakeQueue::schedule(self, slot, id)
-    }
-    #[inline]
-    fn prefetch_schedule(&self, slot: Slot) {
-        WakeQueue::prefetch_schedule(self, slot)
-    }
-    #[inline]
-    fn next_slot(&self) -> Option<Slot> {
-        WakeQueue::next_slot(self)
-    }
-    #[inline]
-    fn advance_to(&mut self, t: Slot) {
-        WakeQueue::advance_to(self, t)
-    }
-    #[inline]
-    fn take(&mut self, t: Slot, out: &mut Vec<u32>) {
-        WakeQueue::take(self, t, out)
-    }
-    fn footprint_bytes(&self) -> usize {
-        WakeQueue::footprint_bytes(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -764,6 +705,73 @@ mod tests {
         out.clear();
         q.take(target, &mut out);
         assert_eq!(out, vec![9, 4]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn far_migrants_precede_direct_pushes_in_their_slot() {
+        // Events scheduled while their slot lay past the 2^36 ring span
+        // wait in the far heap and migrate inward when the clock crosses
+        // into that block. A direct push to the same slot after the
+        // crossing has a larger seq, so it must drain after the migrants,
+        // whether they land straight in L0 or in a coarse level that
+        // cascades down later.
+        let top = 1u64 << 36;
+        let near = top + 100; // migrates into L0
+        let coarse = top + (5u64 << 20) + 7; // migrates into L2
+        let mut q = WakeQueue::new();
+        q.schedule(near, 9);
+        q.schedule(coarse, 8);
+        q.schedule(near, 5);
+        q.schedule(coarse, 6);
+        q.schedule(200, 1);
+        let mut out = Vec::new();
+        q.advance_to(200);
+        q.take(200, &mut out);
+        assert_eq!(out, vec![1]);
+        q.advance_to(top);
+        assert_eq!(
+            q.cascade_moves(),
+            4,
+            "the far prefix migrates at the crossing"
+        );
+        q.schedule(near, 2);
+        q.schedule(coarse, 0);
+        assert_eq!(
+            drain(&mut q),
+            vec![(near, vec![9, 5, 2]), (coarse, vec![8, 6, 0])]
+        );
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn schedule_and_take_at_block_edge_slots() {
+        // At an unaligned base, L0 covers `[base, E0)` with E0 the end of
+        // base's 2^12 block: `E0 - 1` is the last slot L0 holds (and the
+        // last one `take` may ask for without advancing), while `E0` parks
+        // in L1 and cascades in only once the clock crosses.
+        let base = 3 * (1u64 << 12) + 17;
+        let e0 = 4 * (1u64 << 12);
+        let mut q = WakeQueue::new();
+        q.advance_to(base);
+        q.schedule(e0 - 1, 7); // last L0 slot
+        q.schedule(e0, 8); // first L1 slot
+        q.schedule(base, 3); // the clock's own slot is schedulable too
+        assert_eq!(q.next_slot(), Some(base));
+        let mut out = Vec::new();
+        q.take(base, &mut out);
+        assert_eq!(out, vec![3]);
+        assert_eq!(q.next_slot(), Some(e0 - 1));
+        out.clear();
+        q.take(e0 - 1, &mut out);
+        assert_eq!(out, vec![7]);
+        assert_eq!(q.next_slot(), Some(e0));
+        assert_eq!(q.cascade_moves(), 0);
+        q.advance_to(e0);
+        assert_eq!(q.cascade_moves(), 1);
+        out.clear();
+        q.take(e0, &mut out);
+        assert_eq!(out, vec![8]);
         assert!(q.is_empty());
     }
 
@@ -934,7 +942,7 @@ mod tests {
         // All block ends saturate to u64::MAX at the top of the slot axis;
         // a slot at u64::MAX itself is never strictly below a saturated
         // end, so it parks in the far heap — the NEVER-sentinel
-        // convention, matching the flat ring's saturating horizon.
+        // convention.
         assert_eq!(block_end(u64::MAX - 100, SHIFT[1]), u64::MAX);
         assert_eq!(block_end(u64::MAX - 100, TOP_BITS), u64::MAX);
         assert_eq!(block_end(5, SHIFT[1]), 1 << 12);
@@ -1041,8 +1049,7 @@ mod tests {
         //!
         //! The model is the contract in its simplest form: a
         //! `BTreeMap<Slot, Vec<u32>>` whose per-slot `Vec` is append-only
-        //! push order. This extends the flat ring's original proptest (now
-        //! in `wake_flat.rs`) to the wheel's full delta range: random
+        //! push order. It covers the wheel's full delta range: random
         //! workloads sweep level-boundary rollovers (deltas straddling
         //! 2^12/2^20/2^28), cascade-at-horizon (exactly-at-block-end
         //! schedules, which must park one level up), wraparound past the

@@ -54,13 +54,15 @@ pub struct EngineSample {
     pub overhead_slots: u64,
     /// Contention `C(t)` after the slot resolved.
     pub contention: f64,
-    /// Wake-structure heap footprint in bytes (0 where not tracked).
+    /// Wake-wheel heap footprint in bytes
+    /// ([`WakeQueue::footprint_bytes`](crate::engine::wake::WakeQueue::footprint_bytes)).
+    /// Only the sparse engine emits samples, and every sample carries it.
     pub footprint_bytes: u64,
     /// Packet-table bookkeeping bytes: the allocated id and id → index
-    /// remap lanes, *not* the protocol-state lane (0 where not tracked).
+    /// remap lanes, *not* the protocol-state lane.
     pub state_bytes: u64,
     /// Staged gather/scatter bytes: the stage plan's permutation buffers
-    /// plus the per-slot state scratch (0 where not tracked).
+    /// plus the per-slot state scratch (0 until a slot has staged).
     pub stage_bytes: u64,
 }
 
@@ -140,7 +142,7 @@ impl EnginePhase {
         ("resolve", "resolve (jam decision, slot outcome)"),
         ("observe", "observe (listener cohorts, contention)"),
         ("wake", "wake (listener delay draws)"),
-        ("sched", "sched (calendar pushes)"),
+        ("sched", "sched (wheel pushes)"),
         ("senders", "senders (observe, reschedule)"),
         (
             "scatter",

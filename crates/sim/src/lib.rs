@@ -97,8 +97,7 @@ pub mod prelude {
     };
     pub use crate::config::{Limits, SimConfig};
     pub use crate::engine::{
-        run_dense, run_grouped, run_sparse, run_sparse_flat, run_sparse_reference,
-        SymmetricProtocol,
+        run_dense, run_grouped, run_sparse, run_sparse_reference, SymmetricProtocol,
     };
     pub use crate::feedback::{
         resolve_slot, ChannelModel, CostlyCollisions, Feedback, FeedbackModel, Intent,

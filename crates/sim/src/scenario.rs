@@ -48,9 +48,7 @@ use std::fmt;
 
 use crate::arrivals::ArrivalProcess;
 use crate::config::{Limits, SimConfig};
-use crate::engine::{
-    run_dense, run_grouped, run_sparse, run_sparse_flat, run_sparse_reference, SymmetricProtocol,
-};
+use crate::engine::{run_dense, run_grouped, run_sparse, run_sparse_reference, SymmetricProtocol};
 use crate::feedback::ChannelModel;
 use crate::hooks::{Hooks, NoHooks};
 use crate::jamming::{Jammer, NoJam};
@@ -222,19 +220,6 @@ where
     {
         let (a, j) = (self.arrivals.clone(), self.jammer.clone());
         run_sparse(&self.cfg, a, j, factory, hooks)
-    }
-
-    /// Runs the scenario on the sparse loop over the retained flat
-    /// calendar ring ([`run_sparse_flat`]) — the second oracle of the
-    /// three-way equivalence suite (hierarchical wheel vs flat ring vs
-    /// heap reference). Intended for validation only.
-    pub fn run_sparse_flat<P, F>(&self, factory: F) -> RunResult
-    where
-        P: SparseProtocol,
-        F: FnMut(&mut SimRng) -> P,
-    {
-        let (a, j) = (self.arrivals.clone(), self.jammer.clone());
-        run_sparse_flat(&self.cfg, a, j, factory, &mut NoHooks)
     }
 
     /// Runs the scenario on the retained heap-based sparse loop
@@ -516,10 +501,10 @@ pub mod scenarios {
     /// thousand-packet participant sets. With `n` large enough that the
     /// state lane spills past the staged gather/scatter gate (see
     /// [`staging_applies`](crate::engine::stage::staging_applies)), the
-    /// sparse engines run the address-sorted staged path while the heap
+    /// sparse engine runs the address-sorted staged path while the heap
     /// reference runs its unstaged per-element loop — the scenario the
-    /// three-way equivalence suite uses to pin the two paths against each
-    /// other. Not part of [`registry`]: at staging-relevant sizes it is too
+    /// wheel-vs-heap equivalence suite uses to pin the two paths against
+    /// each other. Not part of [`registry`]: at staging-relevant sizes it is too
     /// heavy for the registry's every-protocol sweeps.
     pub fn high_fanout_batch(n: u64, horizon: u64) -> Scenario<Batch, NoJam> {
         Scenario::named(format!("high-fanout-batch(n={n},horizon={horizon})"))

@@ -232,7 +232,7 @@ proptest! {
         prop_assert_eq!(dense.per_packet, sparse.per_packet);
     }
 
-    /// The calendar-queue sparse engine and the retained heap-based loop
+    /// The timing-wheel sparse engine and the retained heap-based loop
     /// produce bit-identical executions for arbitrary stochastic protocols,
     /// traces, jamming rates, and horizons.
     #[test]

@@ -1,28 +1,21 @@
-//! Bit-for-bit equivalence of the calendar-queue sparse engine against the
+//! Bit-for-bit equivalence of the timing-wheel sparse engine against the
 //! retained heap-based reference loop.
 //!
 //! The optimized engine (`run_sparse`) promises *identical executions*, not
 //! just statistical agreement: the same RNG draw order, the same
 //! floating-point accumulation order, the same hook sequence. Since PR 4
 //! the shared processing order within a slot is **insertion order**: the
-//! reference keys its heap `(slot, insertion_seq)` while the calendar
-//! queue drains buckets in push order, two implementations of the same
-//! order — which is what lets the fast engine skip per-slot sorting and
-//! run its packet table through epoch compaction without these
-//! comparisons noticing. The tests hold both engines to that promise
-//! across the canonical scenario registry (including its jammed and
-//! reactive-adversary scenarios), several protocols, metric
-//! configurations, and seeds, by comparing complete [`RunResult`]s —
-//! totals, per-packet statistics, and trajectory series — with exact
-//! equality.
-//!
-//! Since the hierarchical wheel became the production wake set, the suite
-//! is **three-way**: the wheel is also pinned against the retained flat
-//! calendar ring (`run_sparse_flat`, the PR 2–6 production queue running
-//! under the *same* generic loop body). The heap reference checks the
-//! loop; the flat ring checks the queue — a structurally different
-//! single-level schedule that must still drain in the identical
-//! (slot, insertion-seq) order through every cascade the wheel performs.
+//! reference keys its heap `(slot, insertion_seq)` while the wheel drains
+//! buckets in push order through every cascade, two implementations of the
+//! same order — which is what lets the fast engine skip per-slot sorting
+//! and run its packet table through epoch compaction without these
+//! comparisons noticing. The reference differs from the engine in both the
+//! wake set and the loop, so one comparison checks both. The tests hold
+//! the two to that promise across the canonical scenario registry
+//! (including its jammed and reactive-adversary scenarios), every protocol
+//! of the suite, all three channel models, metric configurations, and
+//! seeds, by comparing complete [`RunResult`]s — totals, per-packet
+//! statistics, and trajectory series — with exact equality.
 
 use lowsense::{lsb, LowSensing, Params};
 use lowsense_baselines::{
@@ -48,10 +41,9 @@ fn assert_identical(a: &RunResult, b: &RunResult, what: &str) {
     }
 }
 
-/// Three-way check of one scenario: hierarchical wheel (production) vs
-/// flat calendar ring (retained queue oracle) vs heap reference (loop
-/// oracle), all bit-identical.
-fn assert_three_way<A, J, P, F>(s: &Scenario<A, J>, factory: F, what: &str)
+/// Wheel vs heap reference on one scenario: the production engine and
+/// the heap-based loop must agree bit for bit.
+fn assert_wheel_vs_heap<A, J, P, F>(s: &Scenario<A, J>, factory: F, what: &str)
 where
     A: ArrivalProcess + Clone,
     J: Jammer + Clone,
@@ -59,21 +51,74 @@ where
     F: FnMut(&mut SimRng) -> P + Clone,
 {
     let wheel = s.run_sparse(factory.clone());
-    let flat = s.run_sparse_flat(factory.clone());
     let heap = s.run_sparse_reference(factory);
-    assert_identical(&wheel, &flat, &format!("{what}: wheel vs flat ring"));
     assert_identical(&wheel, &heap, &format!("{what}: wheel vs heap reference"));
 }
 
-/// Every registry scenario, LSB protocol, three seeds: identical results.
+/// The protocols the suite sweeps, as table inputs. They differ in
+/// scheduling shape — deterministic countdowns (windowed BEB, polynomial),
+/// memoryless draws (ALOHA, probabilistic BEB), the degenerate every-slot
+/// listener (CJP), and multiplicative ladders (LSB and its variant) — so
+/// together they exercise every queue path: L0 pushes, coarse placements,
+/// cascades, and the far heap.
+#[derive(Clone, Copy, Debug)]
+enum Proto {
+    Lsb,
+    ProbBeb,
+    /// Slotted ALOHA with this send probability.
+    Aloha(f64),
+    WindowedBeb,
+    Polynomial,
+    Cjp,
+    Variant,
+}
+
+/// [`assert_wheel_vs_heap`] for one [`Proto`].
+fn assert_proto_wheel_vs_heap<A, J>(s: &Scenario<A, J>, proto: Proto, what: &str)
+where
+    A: ArrivalProcess + Clone,
+    J: Jammer + Clone,
+{
+    match proto {
+        Proto::Lsb => assert_wheel_vs_heap(s, lsb(), what),
+        Proto::ProbBeb => assert_wheel_vs_heap(s, |_: &mut SimRng| ProbBeb::new(0.25), what),
+        Proto::Aloha(p) => {
+            assert_wheel_vs_heap(s, move |_: &mut SimRng| SlottedAloha::new(p), what)
+        }
+        Proto::WindowedBeb => {
+            assert_wheel_vs_heap(s, |rng: &mut SimRng| WindowedBeb::new(4, 16, rng), what)
+        }
+        Proto::Polynomial => assert_wheel_vs_heap(
+            s,
+            |rng: &mut SimRng| PolynomialBackoff::new(4, 2, rng),
+            what,
+        ),
+        Proto::Cjp => {
+            assert_wheel_vs_heap(s, |_: &mut SimRng| CjpMwu::new(CjpConfig::default()), what)
+        }
+        Proto::Variant => {
+            let cfg = VariantConfig {
+                update: UpdateRule::Factor(2.0),
+                coupling: Coupling::Independent,
+                ..VariantConfig::paper(0.5, 4.0)
+            };
+            assert_wheel_vs_heap(s, move |_: &mut SimRng| LowSensingVariant::new(cfg), what)
+        }
+    }
+}
+
+/// Every registry scenario (clean, jammed, bursty, reactive, streaming,
+/// model variants) under LSB, as (registry size, seeds) rows.
 #[test]
 fn registry_is_bit_identical_under_lsb() {
-    for scenario in scenarios::registry(96) {
-        for seed in [1, 7, 1234] {
-            let s = scenario.seeded(seed);
-            let fast = s.run_sparse(lsb());
-            let reference = s.run_sparse_reference(lsb());
-            assert_identical(&fast, &reference, &format!("{} (seed {seed})", s.name()));
+    let cases: [(u64, &[u64]); 2] = [(96, &[1, 7, 1234]), (64, &[2, 77])];
+    for (size, seeds) in cases {
+        for scenario in scenarios::registry(size) {
+            for &seed in seeds {
+                let s = scenario.seeded(seed);
+                let what = format!("{} (size {size}, seed {seed})", s.name());
+                assert_wheel_vs_heap(&s, lsb(), &what);
+            }
         }
     }
 }
@@ -95,66 +140,60 @@ fn registry_series_bit_identical() {
     }
 }
 
-/// Baseline protocols exercise different scheduling shapes: deterministic
-/// countdowns (BEB, polynomial), memoryless draws (ALOHA, ProbBeb), and the
-/// degenerate every-slot listener (CJP).
+/// Every protocol of the suite on a jammed batch, as (seed, horizon cap,
+/// protocol) rows. CJP listens every slot, so its rows carry a horizon
+/// cap, as do all the seed-23 rows.
 #[test]
 fn baselines_bit_identical_on_jammed_batch() {
-    let s = scenarios::random_jam_batch(48, 0.15).seed(11);
-    assert_identical(
-        &s.run_sparse(|_| SlottedAloha::new(1.0 / 48.0)),
-        &s.run_sparse_reference(|_| SlottedAloha::new(1.0 / 48.0)),
-        "aloha",
-    );
-    assert_identical(
-        &s.run_sparse(|rng| WindowedBeb::new(4, 16, rng)),
-        &s.run_sparse_reference(|rng| WindowedBeb::new(4, 16, rng)),
-        "windowed-beb",
-    );
-    assert_identical(
-        &s.run_sparse(|_| ProbBeb::new(0.25)),
-        &s.run_sparse_reference(|_| ProbBeb::new(0.25)),
-        "prob-beb",
-    );
-    assert_identical(
-        &s.run_sparse(|rng| PolynomialBackoff::new(4, 2, rng)),
-        &s.run_sparse_reference(|rng| PolynomialBackoff::new(4, 2, rng)),
-        "polynomial",
-    );
-    let s = s.clone().until_slot(5_000);
-    assert_identical(
-        &s.run_sparse(|_| CjpMwu::new(CjpConfig::default())),
-        &s.run_sparse_reference(|_| CjpMwu::new(CjpConfig::default())),
-        "cjp (every-slot listener)",
-    );
+    use Proto::*;
+    let aloha = Aloha(1.0 / 48.0);
+    let cases: [(u64, Option<u64>, Proto); 12] = [
+        (11, None, aloha),
+        (11, None, WindowedBeb),
+        (11, None, ProbBeb),
+        (11, None, Polynomial),
+        (11, Some(5_000), Cjp),
+        (23, Some(5_000), Lsb),
+        (23, Some(5_000), ProbBeb),
+        (23, Some(5_000), aloha),
+        (23, Some(5_000), WindowedBeb),
+        (23, Some(5_000), Polynomial),
+        (23, Some(5_000), Cjp),
+        (23, Some(5_000), Variant),
+    ];
+    for (seed, cap, proto) in cases {
+        let mut s = scenarios::random_jam_batch(48, 0.15).seed(seed);
+        if let Some(cap) = cap {
+            s = s.until_slot(cap);
+        }
+        assert_proto_wheel_vs_heap(&s, proto, &format!("{proto:?} (seed {seed}, cap {cap:?})"));
+    }
 }
 
 /// Reactive jamming consults the adversary with the slot's sender set; the
-/// engines must present identical sets in identical order.
+/// engines must present identical sets in identical order, or the jam
+/// decisions diverge, not just the floats. Each adversary runs at two
+/// seeds.
 #[test]
 fn reactive_adversaries_bit_identical() {
-    let s = scenarios::reactive_dos_batch(64, 40).seed(5);
-    assert_identical(
-        &s.run_sparse(lsb()),
-        &s.run_sparse_reference(lsb()),
-        "reactive-dos",
-    );
-    let s = Scenario::named("sniper")
-        .arrivals(Batch::new(32))
-        .jammer(WithReactive::new(
-            RandomJam::new(0.1),
-            ReactiveTargeted::new(PacketId(3), 8),
-        ))
-        .seed(9);
-    assert_identical(
-        &s.run_sparse(lsb()),
-        &s.run_sparse_reference(lsb()),
-        "sniper",
-    );
+    for seed in [5, 15] {
+        let s = scenarios::reactive_dos_batch(64, 40).seed(seed);
+        assert_wheel_vs_heap(&s, lsb(), &format!("reactive-dos (seed {seed})"));
+    }
+    for seed in [9, 19] {
+        let sniper = Scenario::named("sniper")
+            .arrivals(Batch::new(32))
+            .jammer(WithReactive::new(
+                RandomJam::new(0.1),
+                ReactiveTargeted::new(PacketId(3), 8),
+            ))
+            .seed(seed);
+        assert_wheel_vs_heap(&sniper, lsb(), &format!("sniper (seed {seed})"));
+    }
 }
 
-/// Far-future wake-ups (beyond the calendar ring) migrate through the
-/// overflow heap; tiny access probabilities exercise that path hard.
+/// Far-future wake-ups land in the wheel's coarse levels and cascade down;
+/// tiny access probabilities exercise that path hard.
 #[test]
 fn far_horizon_wakeups_bit_identical() {
     let s = Scenario::named("long-sleepers")
@@ -162,84 +201,7 @@ fn far_horizon_wakeups_bit_identical() {
         .seed(2)
         .until_slot(400_000);
     let factory = |_: &mut SimRng| LowSensing::with_window(Params::default(), 5e7);
-    // Three-way on purpose: 5e7-slot wakes land in the wheel's coarse
-    // levels (and cascade down) but in the flat ring's overflow heap — the
-    // two queues disagree structurally the most on exactly this workload.
-    assert_three_way(&s, factory, "long-sleepers");
-}
-
-/// The full canonical registry under the three-way check: every scenario
-/// (clean, jammed, bursty, reactive, streaming), two seeds, LSB.
-#[test]
-fn registry_three_way_bit_identical() {
-    for scenario in scenarios::registry(64) {
-        for seed in [2, 77] {
-            let s = scenario.seeded(seed);
-            let what = format!("{} (seed {seed})", s.name());
-            assert_three_way(&s, lsb(), &what);
-        }
-    }
-}
-
-/// Adversarial scheduling under the three-way check: reactive jammers see
-/// the sender sets the queues hand the loop, so any drain-order skew
-/// between the three wake sets would surface here as diverging jam
-/// decisions, not just shuffled floats.
-#[test]
-fn reactive_adversaries_three_way_bit_identical() {
-    assert_three_way(
-        &scenarios::reactive_dos_batch(64, 40).seed(15),
-        lsb(),
-        "reactive-dos",
-    );
-    let sniper = Scenario::named("sniper")
-        .arrivals(Batch::new(32))
-        .jammer(WithReactive::new(
-            RandomJam::new(0.1),
-            ReactiveTargeted::new(PacketId(3), 8),
-        ))
-        .seed(19);
-    assert_three_way(&sniper, lsb(), "sniper");
-}
-
-/// All seven protocols of the equivalence suite under the three-way check
-/// on a jammed batch: the protocols differ in scheduling shape
-/// (deterministic countdowns, memoryless draws, every-slot listeners,
-/// multiplicative ladders), so together they exercise every queue path —
-/// L0 pushes, coarse placements, cascades, and the far heap.
-#[test]
-fn seven_protocols_three_way_bit_identical() {
-    let s = scenarios::random_jam_batch(48, 0.15)
-        .seed(23)
-        .until_slot(5_000);
-    assert_three_way(&s, lsb(), "lsb");
-    assert_three_way(&s, |_: &mut SimRng| ProbBeb::new(0.25), "prob-beb");
-    assert_three_way(&s, |_: &mut SimRng| SlottedAloha::new(1.0 / 48.0), "aloha");
-    assert_three_way(
-        &s,
-        |rng: &mut SimRng| WindowedBeb::new(4, 16, rng),
-        "windowed-beb",
-    );
-    assert_three_way(
-        &s,
-        |rng: &mut SimRng| PolynomialBackoff::new(4, 2, rng),
-        "polynomial",
-    );
-    assert_three_way(
-        &s,
-        |_: &mut SimRng| CjpMwu::new(CjpConfig::default()),
-        "cjp (every-slot listener)",
-    );
-    let cfg = VariantConfig {
-        update: UpdateRule::Factor(2.0),
-        coupling: Coupling::Independent,
-        ..VariantConfig::paper(0.5, 4.0)
-    };
-    assert_three_way(
-        &s,
-        move |_: &mut SimRng| LowSensingVariant::new(cfg),
-        "lowsensing-variant",
-    );
+    assert_wheel_vs_heap(&s, factory, "long-sleepers");
 }
 
 /// Step budgets cut runs mid-flight; both engines must stop on the same
@@ -250,11 +212,7 @@ fn step_budget_cutoff_bit_identical() {
         max_slot: u64::MAX / 2,
         max_steps: 500,
     });
-    assert_identical(
-        &s.run_sparse(lsb()),
-        &s.run_sparse_reference(lsb()),
-        "budget",
-    );
+    assert_wheel_vs_heap(&s, lsb(), "budget");
 }
 
 /// Delays whose absolute wake slot saturates past the representable
@@ -302,7 +260,7 @@ proptest! {
     /// One registry sweep mixing batch-capable protocols with scalar-only
     /// ones (`PolynomialBackoff` and `CjpMwu` ride the defaulted
     /// fallbacks): whichever path a listener cohort takes, the
-    /// calendar-queue engine must stay bit-identical to the heap
+    /// timing-wheel engine must stay bit-identical to the heap
     /// reference. Of the batch-capable set, `LowSensing` and
     /// `LowSensingVariant` actually reach their overrides through the
     /// engine's listener cohorts; the oblivious always-send baselines
@@ -322,61 +280,30 @@ proptest! {
             .seeded(seed)
             .until_slot(10_000);
         let what = format!("{} (seed {seed}, protocol {protocol})", s.name());
-        match protocol {
+        let protocols = [
             // Batch-capable protocols.
-            0 => assert_identical(&s.run_sparse(lsb()), &s.run_sparse_reference(lsb()), &what),
-            1 => assert_identical(
-                &s.run_sparse(|_| ProbBeb::new(0.25)),
-                &s.run_sparse_reference(|_| ProbBeb::new(0.25)),
-                &what,
-            ),
-            2 => assert_identical(
-                &s.run_sparse(|_| SlottedAloha::new(0.03)),
-                &s.run_sparse_reference(|_| SlottedAloha::new(0.03)),
-                &what,
-            ),
-            3 => assert_identical(
-                &s.run_sparse(|rng| WindowedBeb::new(4, 16, rng)),
-                &s.run_sparse_reference(|rng| WindowedBeb::new(4, 16, rng)),
-                &what,
-            ),
-            // Scalar-only protocols (defaulted observe4/next_wake4),
-            // plus the engine-reachable batched variant below (case 6).
-            4 => assert_identical(
-                &s.run_sparse(|rng| PolynomialBackoff::new(4, 2, rng)),
-                &s.run_sparse_reference(|rng| PolynomialBackoff::new(4, 2, rng)),
-                &what,
-            ),
-            5 => assert_identical(
-                &s.run_sparse(|_| CjpMwu::new(CjpConfig::default())),
-                &s.run_sparse_reference(|_| CjpMwu::new(CjpConfig::default())),
-                &what,
-            ),
-            _ => {
-                let cfg = VariantConfig {
-                    update: UpdateRule::Factor(2.0),
-                    coupling: Coupling::Independent,
-                    ..VariantConfig::paper(0.5, 4.0)
-                };
-                assert_identical(
-                    &s.run_sparse(move |_| LowSensingVariant::new(cfg)),
-                    &s.run_sparse_reference(move |_| LowSensingVariant::new(cfg)),
-                    &what,
-                )
-            }
-        }
+            Proto::Lsb,
+            Proto::ProbBeb,
+            Proto::Aloha(0.03),
+            Proto::WindowedBeb,
+            // Scalar-only protocols (defaulted observe4/next_wake4), plus
+            // the engine-reachable batched variant.
+            Proto::Polynomial,
+            Proto::Cjp,
+            Proto::Variant,
+        ];
+        assert_proto_wheel_vs_heap(&s, protocols[protocol], &what);
     }
 }
 
-/// The channel-model axis under the three-way check: the full registry,
-/// run under each alternative [`ChannelModel`], must stay bit-identical
-/// across the wheel, the flat ring, and the heap reference. The models
-/// change what protocols hear (no-CD collapses collisions into silence)
-/// and how the physical clock advances (costly collisions accumulate
-/// skew), so this pins that both hooks live in the *shared* loop body and
-/// core — not in any engine-specific path one queue could drift away from.
+/// The channel-model axis: the full registry, run under each alternative
+/// [`ChannelModel`], must stay bit-identical between the wheel and the heap
+/// reference. The models change what protocols hear (no-CD collapses
+/// collisions into silence) and how the physical clock advances (costly
+/// collisions accumulate skew), so this pins that both hooks live in the
+/// *shared* core and act identically in both loops.
 #[test]
-fn model_axis_three_way_bit_identical() {
+fn model_axis_wheel_vs_heap_bit_identical() {
     for model in [
         ChannelModel::NoCollisionDetection,
         ChannelModel::CostlyCollisions { alpha: 0.5 },
@@ -387,7 +314,7 @@ fn model_axis_three_way_bit_identical() {
             // identical runs.
             let s = scenario.seeded(31).model(model).until_slot(10_000);
             let what = format!("{} under {}", s.name(), model.label());
-            assert_three_way(&s, lsb(), &what);
+            assert_wheel_vs_heap(&s, lsb(), &what);
         }
     }
 }
@@ -396,9 +323,9 @@ fn model_axis_three_way_bit_identical() {
 /// sender-only protocols (BEB family) exercise `sender_feedback`, the
 /// polynomial ladder exercises the scalar observation path, and the jam
 /// mix keeps the no-overhead-for-jams rule of `CostlyCollisions` honest
-/// across all three sparse implementations.
+/// in both loops.
 #[test]
-fn baselines_three_way_bit_identical_under_models() {
+fn baselines_wheel_vs_heap_bit_identical_under_models() {
     for model in [
         ChannelModel::NoCollisionDetection,
         ChannelModel::CostlyCollisions { alpha: 0.5 },
@@ -407,21 +334,10 @@ fn baselines_three_way_bit_identical_under_models() {
             .seed(11)
             .model(model)
             .until_slot(5_000);
-        assert_three_way(
-            &s,
-            |rng: &mut SimRng| WindowedBeb::new(4, 16, rng),
-            &format!("windowed-beb under {}", model.label()),
-        );
-        assert_three_way(
-            &s,
-            |_: &mut SimRng| ProbBeb::new(0.25),
-            &format!("prob-beb under {}", model.label()),
-        );
-        assert_three_way(
-            &s,
-            |rng: &mut SimRng| PolynomialBackoff::new(4, 2, rng),
-            &format!("polynomial under {}", model.label()),
-        );
+        for proto in [Proto::WindowedBeb, Proto::ProbBeb, Proto::Polynomial] {
+            let what = format!("{proto:?} under {}", model.label());
+            assert_proto_wheel_vs_heap(&s, proto, &what);
+        }
     }
 }
 
@@ -461,7 +377,7 @@ fn every_entry_point_honours_the_config_model() {
     }
 
     type Entry = fn(&SimConfig) -> RunResult;
-    let entries: [(&str, Entry); 5] = [
+    let entries: [(&str, Entry); 4] = [
         ("run_dense", |c| {
             run_dense(c, Batch::new(2), NoJam, |_| AlwaysSend, &mut NoHooks)
         }),
@@ -470,9 +386,6 @@ fn every_entry_point_honours_the_config_model() {
         }),
         ("run_sparse", |c| {
             run_sparse(c, Batch::new(2), NoJam, |_| AlwaysSend, &mut NoHooks)
-        }),
-        ("run_sparse_flat", |c| {
-            run_sparse_flat(c, Batch::new(2), NoJam, |_| AlwaysSend, &mut NoHooks)
         }),
         ("run_sparse_reference", |c| {
             run_sparse_reference(c, Batch::new(2), NoJam, |_| AlwaysSend, &mut NoHooks)
@@ -497,11 +410,7 @@ fn every_entry_point_honours_the_config_model() {
 #[test]
 fn totals_only_bit_identical() {
     let s = scenarios::random_jam_batch(256, 0.2).totals_only().seed(8);
-    assert_identical(
-        &s.run_sparse(lsb()),
-        &s.run_sparse_reference(lsb()),
-        "totals-only",
-    );
+    assert_wheel_vs_heap(&s, lsb(), "totals-only");
 }
 
 /// Counts the event slots the staging gate admits, from out-of-band
@@ -552,11 +461,11 @@ impl<P> Hooks<P> for StageCount {
     }
 }
 
-/// The staged gather/scatter path against both oracles, under all three
-/// feedback models. 300k stations put the state lane (4.8 MB of 16 B
+/// The staged gather/scatter path against the heap reference, under all
+/// three feedback models. 300k stations put the state lane (4.8 MB of 16 B
 /// `LowSensing` states) past the 4 MiB staging gate, and the small
 /// starting window keeps early slots at thousand-packet participant sets —
-/// so the wheel and flat-ring engines run the address-sorted staged path
+/// so the wheel engine runs the address-sorted staged path
 /// while the heap reference runs its unstaged per-element loop. Bit-identity
 /// here is the inverse-permutation argument made executable: staging may
 /// only reorder memory traffic, never a draw, an observation, or an
@@ -565,7 +474,7 @@ impl<P> Hooks<P> for StageCount {
 /// every high-fanout slot clears the gate, so a change to the state size
 /// or the gate cannot quietly turn this into a direct-path test.
 #[test]
-fn staged_high_fanout_300k_three_way_bit_identical() {
+fn staged_high_fanout_300k_wheel_vs_heap_bit_identical() {
     const N: u64 = 300_000;
     let factory = |_: &mut SimRng| LowSensing::with_window(Params::default(), 64.0);
     // Ternary with full per-packet metrics: the strongest pin (every
@@ -584,11 +493,9 @@ fn staged_high_fanout_300k_three_way_bit_identical() {
     );
     // The probed run is the wheel leg: hooks only read, and the
     // observability suite pins that sampling never perturbs a result.
-    let what = "high-fanout-batch under ternary";
-    let flat = s.run_sparse_flat(factory);
-    assert_identical(&wheel, &flat, &format!("{what}: wheel vs flat ring"));
     let heap = s.run_sparse_reference(factory);
-    assert_identical(&wheel, &heap, &format!("{what}: wheel vs heap reference"));
+    let what = "high-fanout-batch under ternary: wheel vs heap reference";
+    assert_identical(&wheel, &heap, what);
     // The alternative models with totals-only metrics and a shorter
     // horizon: the staged slots still dominate the run, and totals (which
     // fold every contention float in accumulation order) keep the
@@ -602,6 +509,6 @@ fn staged_high_fanout_300k_three_way_bit_identical() {
             .seeded(6)
             .model(model);
         let what = format!("{} under {}", s.name(), model.label());
-        assert_three_way(&s, factory, &what);
+        assert_wheel_vs_heap(&s, factory, &what);
     }
 }
